@@ -898,13 +898,7 @@ fn dissemination_with_codec(codec: CodecKind) -> Duration {
         0,
         Script::new()
             .register(l, &["payload"])
-            .set_availability(
-                l,
-                AvailabilityConfig {
-                    ur: 4,
-                    wait_for_acks: true,
-                },
-            )
+            .set_availability(l, AvailabilityConfig { ur: 4 })
             .sleep(Duration::from_millis(500))
             .lock(l)
             .write_bytes(payload, 64 * 1024)
@@ -1176,13 +1170,7 @@ fn ablation_availability() {
             1,
             Script::new()
                 .register(l, &["payload"])
-                .set_availability(
-                    l,
-                    AvailabilityConfig {
-                        ur,
-                        wait_for_acks: true,
-                    },
-                )
+                .set_availability(l, AvailabilityConfig { ur })
                 .sleep(Duration::from_millis(500))
                 .lock(l)
                 .write_bytes(payload, 2048)

@@ -101,13 +101,7 @@ pub fn run_point(
         0,
         Script::new()
             .register(L, &["doc"])
-            .set_availability(
-                L,
-                AvailabilityConfig {
-                    ur: targets + 1,
-                    wait_for_acks: true,
-                },
-            )
+            .set_availability(L, AvailabilityConfig { ur: targets + 1 })
             .sleep(Duration::from_millis(500))
             .lock(L)
             .write(doc, payload(payload_bytes, 0, write_bytes))

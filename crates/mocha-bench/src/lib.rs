@@ -194,13 +194,7 @@ pub fn dissemination_time(
         0,
         Script::new()
             .register(L, &["payload"])
-            .set_availability(
-                L,
-                AvailabilityConfig {
-                    ur: receivers + 1,
-                    wait_for_acks: true,
-                },
-            )
+            .set_availability(L, AvailabilityConfig { ur: receivers + 1 })
             .sleep(Duration::from_millis(500)) // let registration settle
             .lock(L)
             .write_bytes(payload, size)

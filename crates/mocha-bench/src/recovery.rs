@@ -94,13 +94,7 @@ pub fn run_point(payload_bytes: usize, durable: bool) -> RecoveryBenchPoint {
         1,
         Script::new()
             .register(L, &["doc"])
-            .set_availability(
-                L,
-                AvailabilityConfig {
-                    ur: 3,
-                    wait_for_acks: true,
-                },
-            )
+            .set_availability(L, AvailabilityConfig { ur: 3 })
             .sleep(Duration::from_millis(500))
             .lock(L)
             .write(doc, payload(payload_bytes, 0))
@@ -114,13 +108,7 @@ pub fn run_point(payload_bytes: usize, durable: bool) -> RecoveryBenchPoint {
     c.add_script(
         1,
         Script::new()
-            .set_availability(
-                L,
-                AvailabilityConfig {
-                    ur: 2,
-                    wait_for_acks: true,
-                },
-            )
+            .set_availability(L, AvailabilityConfig { ur: 2 })
             .lock(L)
             .write(doc, payload(payload_bytes, 1))
             .unlock_dirty(L),

@@ -126,9 +126,8 @@ fn shared_readers(seed: u64, faults: FaultPlan) -> SimCluster {
 }
 
 /// Four sites, two successive producers pushing to the same peers with
-/// `UR = 2` and no ack-waiting, so pushes carrying different versions from
-/// *different* senders can cross on the wire — the version-monotonicity
-/// stress.
+/// `UR = 2`, so pushes carrying different versions from *different*
+/// senders can cross on the wire — the version-monotonicity stress.
 fn push_chain(seed: u64, faults: FaultPlan) -> SimCluster {
     let mut c = SimCluster::builder()
         .sites(4)
@@ -136,10 +135,7 @@ fn push_chain(seed: u64, faults: FaultPlan) -> SimCluster {
         .config(config(faults))
         .build();
     let idx = mocha::replica_id("idx");
-    let avail = AvailabilityConfig {
-        ur: 2,
-        wait_for_acks: false,
-    };
+    let avail = AvailabilityConfig { ur: 2 };
     c.add_script(0, Script::new().register(L, &["idx"]));
     c.add_script(3, Script::new().register(L, &["idx"]));
     c.add_script(
@@ -164,8 +160,8 @@ fn push_chain(seed: u64, faults: FaultPlan) -> SimCluster {
     c
 }
 
-/// Four sites with `UR = 3`, ack-waiting on, and the delta + pipelined
-/// push path enabled: every release has all three targets in flight at
+/// Four sites with `UR = 3` and the delta + pipelined push path enabled:
+/// every release has all three targets in flight at
 /// once, and a second small write rides the delta path. The explorer can
 /// defer any target's ack past the push timer, forcing a mid-window
 /// timeout + replacement that push-set consistency must survive.
@@ -182,10 +178,7 @@ fn push_window(seed: u64, faults: FaultPlan) -> SimCluster {
         })
         .build();
     let idx = mocha::replica_id("idx");
-    let avail = AvailabilityConfig {
-        ur: 3,
-        wait_for_acks: true,
-    };
+    let avail = AvailabilityConfig { ur: 3 };
     for site in [0usize, 2, 3] {
         c.add_script(site, Script::new().register(L, &["idx"]));
     }
@@ -223,10 +216,7 @@ fn crash_recover(seed: u64, faults: FaultPlan) -> SimCluster {
         .durable(StoreConfig::default())
         .build();
     let idx = mocha::replica_id("idx");
-    let avail = AvailabilityConfig {
-        ur: 2,
-        wait_for_acks: true,
-    };
+    let avail = AvailabilityConfig { ur: 2 };
     c.add_script(0, Script::new().register(L, &["idx"]));
     c.add_script(2, Script::new().register(L, &["idx"]));
     c.add_script(
@@ -338,13 +328,13 @@ static ALL: &[Scenario] = &[
     },
     Scenario {
         name: "push_chain",
-        summary: "two successive producers, UR=2 pushes without ack-wait",
+        summary: "two successive producers, UR=2 pushes to the same peers",
         expected: None,
         builder: push_chain,
     },
     Scenario {
         name: "push_window",
-        summary: "UR=3 pipelined delta pushes with ack-wait, timeout + replacement",
+        summary: "UR=3 pipelined delta pushes, timeout + replacement",
         expected: None,
         builder: push_window,
     },

@@ -8,7 +8,7 @@
 //! * a decode arm exists (`T_* => ...`), naming a `Msg::Variant`,
 //! * the decoded variant has a *handler* match arm in one of the
 //!   protocol's dispatch files (`daemon.rs`, `sync.rs`, `spawn.rs`,
-//!   `runtime/core.rs`) — so a PR-4-style message addition cannot ship
+//!   `client.rs`) — so a PR-4-style message addition cannot ship
 //!   encode/decode without anyone consuming the message,
 //! * the decoder keeps its `BadTag` fallback for unknown tags.
 //!
@@ -24,14 +24,14 @@ use crate::Diag;
 
 /// The file defining the tag table and codec.
 const MESSAGE_FILE: &str = "mocha-wire/src/message.rs";
-/// Files whose match arms count as protocol handlers. `app.rs` is the
-/// application runner, which answers heartbeat probes itself.
-const HANDLER_FILES: [&str; 5] = [
+/// Files whose match arms count as protocol handlers: the four sans-IO
+/// state machines (`client.rs` is the lock client, which takes grants and
+/// revocations and answers heartbeat probes).
+const HANDLER_FILES: [&str; 4] = [
     "mocha/src/daemon.rs",
     "mocha/src/sync.rs",
     "mocha/src/spawn.rs",
-    "mocha/src/runtime/core.rs",
-    "mocha/src/app.rs",
+    "mocha/src/client.rs",
 ];
 /// Variants without a protocol handler by design (bench-only traffic).
 const HANDLER_EXEMPT: [&str; 2] = ["Ping", "Pong"];

@@ -1,48 +1,24 @@
-//! Application threads: the lock()/unlock() client side (paper §3
-//! Figure 5) driven by per-thread scripts.
+//! Application threads driven by per-thread scripts.
 //!
 //! In the simulator, "application code" is a [`Script`]: a sequence of
 //! [`Op`]s (acquire, write, release, compute, sleep…) executed by an
-//! [`AppRunner`]-managed thread state machine. The runner implements the
-//! client half of the consistency protocol:
+//! [`AppRunner`]-managed thread state machine. The runner is only the
+//! script interpreter: `lock()` and `unlock()` — local queuing, grant and
+//! data handling, release and dissemination, every retry (paper §3
+//! Figure 5, §4) — are the site's [`LockClient`], the same one the
+//! real-time runtimes drive from their blocking API.
 //!
-//! * **local queuing** — if another local thread holds or awaits a lock,
-//!   the caller waits locally first (Figure 5's leading `wait()`), and a
-//!   local hand-off still goes through the coordinator ("a local transfer
-//!   is not permitted to insure ... fairness");
-//! * **grant handling** — a `GRANT` carries the version and a flag; with
-//!   `NEEDNEWVERSION` the thread blocks until the local daemon applies the
-//!   incoming replica data;
-//! * **release** — computes the new version, triggers the daemon's
-//!   push-based dissemination when `UR > 1`, and reports the disseminated
-//!   set to the coordinator.
-//!
-//! Every state transition is timestamped into [`Record`]s, which is what
-//! the benchmark harness mines for latencies.
+//! Every step the client reports is timestamped into a [`Record`], which
+//! is what the benchmark harness mines for latencies.
 
-use std::collections::{HashMap, HashSet, VecDeque};
 use std::time::Duration;
 
-use mocha_net::{ports, MsgClass};
 use mocha_sim::SimTime;
-use mocha_wire::message::{LockMode, VersionFlag};
-use mocha_wire::{LockId, Msg, ReplicaId, ReplicaPayload, SiteId, ThreadId, Version};
+use mocha_wire::message::LockMode;
+use mocha_wire::{LockId, Msg, ReplicaId, ReplicaPayload, SiteId, ThreadId};
 
+use crate::client::{ClientEventKind, LockClient};
 use crate::cmd::{timer_ns, CmdSink, SendTag, Signal};
-
-/// Timer-token flag (within the APP namespace) distinguishing acquire
-/// retries from sleep expiries.
-const RETRY_FLAG: u64 = 1 << 32;
-
-/// How long a stranded thread waits before re-trying its acquire against
-/// the (possibly healed or relocated) home site.
-const HOME_RETRY: Duration = Duration::from_secs(2);
-
-/// How long a granted thread waits for its replica data before asking the
-/// coordinator again. Deliberately far beyond any legitimate transfer
-/// time so the retry never interrupts (and needlessly duplicates) a slow
-/// large transfer that is actually progressing.
-const DATA_RETRY: Duration = Duration::from_secs(20);
 use crate::config::AvailabilityConfig;
 use crate::daemon::SiteDaemon;
 use crate::replica::ReplicaSpec;
@@ -297,28 +273,11 @@ pub struct Record {
 #[derive(Debug, Clone, PartialEq)]
 enum TState {
     Ready,
-    /// Waiting for a local thread to release the lock.
-    WaitLocal(LockId),
-    /// AcquireLock sent; awaiting GRANT.
-    WaitGrant(LockId),
-    /// GRANT said NEEDNEWVERSION; awaiting replica data.
-    WaitData {
-        lock: LockId,
-        need: Version,
-    },
-    /// The home site stopped answering; waiting for a surrogate
-    /// coordinator to announce itself.
-    WaitHome(LockId),
-    /// Dissemination in progress; the release message goes out when it
-    /// completes (with the *acknowledged* target set, so the
-    /// coordinator's up-to-date bookkeeping is never optimistic).
-    WaitPush {
-        lock: LockId,
-        new_version: Version,
-    },
+    /// Inside `lock()` or `unlock()`: the lock client reports completion.
+    Blocked,
     Sleeping,
     Done,
-    /// Stopped after an unrecoverable error (home unreachable).
+    /// Stopped after an unrecoverable error.
     Failed(String),
 }
 
@@ -328,42 +287,43 @@ struct AppThread {
     ops: Vec<Op>,
     pc: usize,
     state: TState,
-    granted: HashMap<LockId, (Version, LockMode)>,
     records: Vec<Record>,
     observed: Vec<ReplicaPayload>,
 }
 
-#[derive(Debug, Default)]
-struct LocalLock {
-    holder: Option<usize>,
-    waiters: VecDeque<usize>,
+/// The record label of a lock-client event (`None`: not recorded).
+fn label(kind: ClientEventKind) -> Option<&'static str> {
+    Some(match kind {
+        ClientEventKind::Requested => "lock_request",
+        ClientEventKind::Granted => "lock_granted",
+        ClientEventKind::DataReady => "data_ready",
+        ClientEventKind::DataStale => "data_stale",
+        ClientEventKind::Acquired(_) => "lock_acquired",
+        ClientEventKind::Revoked => "revoked",
+        ClientEventKind::Unlocked => "unlock",
+        ClientEventKind::PushesDone => "pushes_done",
+        ClientEventKind::Released { revoked: true } => "unlock_revoked",
+        ClientEventKind::Released { revoked: false } => return None,
+        ClientEventKind::HomeUnreachable => "home_unreachable",
+        ClientEventKind::Retried => "reacquire_retry",
+        ClientEventKind::Reacquired => "reacquire_at_surrogate",
+    })
 }
 
-/// Manages all scripted application threads at one site.
+/// Runs all scripted application threads at one site. Each thread's id is
+/// its ticket at the site's [`LockClient`].
 #[derive(Debug)]
 pub struct AppRunner {
-    site: SiteId,
-    home: SiteId,
     threads: Vec<AppThread>,
-    avail: HashMap<LockId, AvailabilityConfig>,
-    local_locks: HashMap<LockId, LocalLock>,
-    /// Locks revoked by the coordinator while held here.
-    revoked: HashSet<LockId>,
-    /// Mode of the outstanding acquire per lock.
-    pending_mode: HashMap<LockId, LockMode>,
+    client: LockClient,
 }
 
 impl AppRunner {
-    /// Creates a runner for `site` whose coordinator lives at `home`.
-    pub fn new(site: SiteId, home: SiteId) -> AppRunner {
+    /// Creates a runner for `site`.
+    pub fn new(site: SiteId) -> AppRunner {
         AppRunner {
-            site,
-            home,
             threads: Vec::new(),
-            avail: HashMap::new(),
-            local_locks: HashMap::new(),
-            revoked: HashSet::new(),
-            pending_mode: HashMap::new(),
+            client: LockClient::new(site),
         }
     }
 
@@ -375,16 +335,22 @@ impl AppRunner {
             ops: script.ops,
             pc: 0,
             state: TState::Ready,
-            granted: HashMap::new(),
             records: Vec::new(),
             observed: Vec::new(),
         });
         id
     }
 
-    /// All records of a thread, in order.
+    /// The site's lock client (holds, for the invariant oracle).
+    pub fn client(&self) -> &LockClient {
+        &self.client
+    }
+
+    /// All records of a thread, in order (empty for an unknown thread).
     pub fn records(&self, thread: ThreadId) -> &[Record] {
-        &self.threads[thread.as_raw() as usize].records
+        self.threads
+            .get(thread.as_raw() as usize)
+            .map_or(&[], |t| &t.records)
     }
 
     /// Records across all threads at this site, in thread order.
@@ -421,106 +387,46 @@ impl AppRunner {
             .collect()
     }
 
-    /// Locks this site's threads currently believe they hold, for the
-    /// invariant oracle. Excludes revoked locks (the coordinator has
-    /// broken them; the thread just hasn't released yet) and grants still
-    /// waiting on replica data (the grant is provisional until the data
-    /// arrives). Sorted by (lock, mode) for determinism.
-    pub fn active_holds(&self) -> Vec<(LockId, LockMode)> {
-        let mut out: Vec<(LockId, LockMode)> = Vec::new();
-        for t in &self.threads {
-            for (&lock, &(_, mode)) in &t.granted {
-                if self.revoked.contains(&lock) {
-                    continue;
-                }
-                if matches!(t.state, TState::WaitData { lock: l, .. } if l == lock) {
-                    continue;
-                }
-                out.push((lock, mode));
-            }
-        }
-        out.sort();
-        out
-    }
-
-    /// Locks revoked by the coordinator but not yet released locally,
-    /// sorted for determinism.
-    pub fn revoked_locks(&self) -> Vec<LockId> {
-        let mut out: Vec<LockId> = self.revoked.iter().copied().collect();
-        out.sort();
-        out
-    }
-
     /// Feeds the protocol-relevant runner state into `h`, for the schedule
     /// explorer's state fingerprint.
     pub fn hash_state(&self, h: &mut impl std::hash::Hasher) {
         use std::hash::Hash;
-        self.site.hash(h);
-        self.home.hash(h);
         for t in &self.threads {
-            t.id.hash(h);
             t.pc.hash(h);
-            match &t.state {
-                TState::Ready => 0u8.hash(h),
-                TState::WaitLocal(l) => {
-                    1u8.hash(h);
-                    l.hash(h);
-                }
-                TState::WaitGrant(l) => {
-                    2u8.hash(h);
-                    l.hash(h);
-                }
-                TState::WaitData { lock, need } => {
-                    3u8.hash(h);
-                    lock.hash(h);
-                    need.hash(h);
-                }
-                TState::WaitHome(l) => {
-                    4u8.hash(h);
-                    l.hash(h);
-                }
-                TState::WaitPush { lock, new_version } => {
-                    5u8.hash(h);
-                    lock.hash(h);
-                    new_version.hash(h);
-                }
-                TState::Sleeping => 6u8.hash(h),
-                TState::Done => 7u8.hash(h),
-                TState::Failed(e) => {
-                    8u8.hash(h);
-                    e.hash(h);
-                }
-            }
-            // Sorted then hashed; the lint can't see through `Hash::hash`.
-            #[allow(clippy::collection_is_never_read)]
-            let mut granted: Vec<(LockId, Version, LockMode)> =
-                t.granted.iter().map(|(&l, &(v, m))| (l, v, m)).collect();
-            granted.sort();
-            granted.hash(h);
+            std::mem::discriminant(&t.state).hash(h);
         }
-        self.revoked_locks().hash(h);
-        #[allow(clippy::collection_is_never_read)]
-        let mut pending: Vec<(LockId, LockMode)> =
-            self.pending_mode.iter().map(|(&l, &m)| (l, m)).collect();
-        pending.sort();
-        pending.hash(h);
-    }
-
-    fn record(thread: &mut AppThread, now: SimTime, label: impl Into<String>) {
-        thread.records.push(Record {
-            label: label.into(),
-            at: now,
-        });
+        self.client.hash_state(h);
     }
 
     /// Runs every runnable thread until it blocks or finishes. Call after
     /// any event delivery.
     pub fn run(&mut self, now: SimTime, daemon: &mut SiteDaemon, sink: &mut CmdSink) {
-        loop {
-            let Some(idx) = self.threads.iter().position(|t| t.state == TState::Ready) else {
-                return;
-            };
+        self.absorb();
+        while let Some(idx) = self.threads.iter().position(|t| t.state == TState::Ready) {
             self.run_thread(idx, now, daemon, sink);
+        }
+    }
+
+    /// Records what the lock client reported and wakes the threads whose
+    /// `lock()` or `unlock()` completed.
+    fn absorb(&mut self) {
+        while let Some(ev) = self.client.next_event() {
+            let Some(t) = self.threads.get_mut(ev.ticket.as_raw() as usize) else {
+                continue;
+            };
+            if let Some(label) = label(ev.kind) {
+                t.records.push(Record {
+                    label: format!("{label}:{}", ev.lock),
+                    at: ev.at,
+                });
+            }
+            let completes = matches!(
+                ev.kind,
+                ClientEventKind::Acquired(_) | ClientEventKind::Released { .. }
+            );
+            if completes && t.state == TState::Blocked {
+                t.state = TState::Ready;
+            }
         }
     }
 
@@ -534,7 +440,7 @@ impl AppRunner {
     ) {
         loop {
             let Some(t) = self.threads.get_mut(idx) else {
-                return; // stale index from a caller's token: nothing to run
+                return;
             };
             if t.state != TState::Ready {
                 return;
@@ -543,193 +449,66 @@ impl AppRunner {
                 t.state = TState::Done;
                 return;
             };
+            t.pc += 1;
             match op {
-                Op::Register { lock, specs } => {
-                    daemon.register_local(lock, &specs, sink);
-                    self.threads[idx].pc += 1;
-                }
-                Op::SetAvailability { lock, avail } => {
-                    self.avail.insert(lock, avail);
-                    self.threads[idx].pc += 1;
-                }
+                Op::Register { lock, specs } => daemon.register_local(lock, &specs, sink),
+                Op::SetAvailability { lock, avail } => self.client.set_availability(lock, avail),
                 Op::Lock {
                     lock,
                     lease_ms,
                     mode,
                 } => {
-                    let ll = self.local_locks.entry(lock).or_default();
-                    if ll.holder == Some(idx) {
-                        // Woken after a local wait: proceed to acquire.
-                    } else if ll.holder.is_none() && ll.waiters.is_empty() {
-                        ll.holder = Some(idx);
-                    } else {
-                        if !ll.waiters.contains(&idx) {
-                            ll.waiters.push_back(idx);
-                        }
-                        self.threads[idx].state = TState::WaitLocal(lock);
-                        return;
-                    }
-                    let site = self.site;
-                    // Per-lock routing via the daemon's directory; `None`
-                    // (single-home mode) falls back to the fixed home.
-                    let home = daemon.home_for(lock).unwrap_or(self.home);
-                    let thread = &mut self.threads[idx];
-                    Self::record(thread, now, format!("lock_request:{lock}"));
-                    let msg = Msg::AcquireLock {
-                        lock,
-                        site,
-                        thread: thread.id,
-                        lease_hint_ms: lease_ms,
-                        mode,
-                    };
-                    sink.send_tagged(
-                        home,
-                        ports::SYNC,
-                        msg,
-                        MsgClass::Control,
-                        SendTag::Acquire { lock },
-                    );
-                    thread.state = TState::WaitGrant(lock);
-                    self.pending_mode.insert(lock, mode);
-                    // pc advances now; the grant unblocks the next op.
-                    thread.pc += 1;
-                    return;
+                    t.state = TState::Blocked;
+                    self.client
+                        .acquire(now, t.id, lock, lease_ms, mode, daemon, sink);
                 }
                 Op::Unlock { lock, dirty } => {
-                    let Some(&(granted, mode)) = self.threads[idx].granted.get(&lock) else {
-                        self.threads[idx].state =
-                            TState::Failed(format!("unlock of unheld {lock}"));
-                        return;
-                    };
-                    let revoked = self.revoked.remove(&lock);
-                    // Writes under a shared hold were rejected, so a
-                    // shared release never advances the version.
-                    let dirty = dirty && mode == LockMode::Exclusive;
-                    let new_version = if dirty { granted.next() } else { granted };
-                    let avail = self.avail.get(&lock).copied().unwrap_or_default();
-                    let ur = if dirty && !revoked { avail.ur } else { 1 };
-                    let disseminated = daemon.disseminate(lock, new_version, ur, sink);
+                    t.state = match self
+                        .client
+                        .release(now, lock, dirty, Some(t.id), daemon, sink)
                     {
-                        let thread = &mut self.threads[idx];
-                        thread.granted.remove(&lock);
-                        Self::record(thread, now, format!("unlock:{lock}"));
-                        if revoked {
-                            Self::record(thread, now, format!("unlock_revoked:{lock}"));
-                        }
-                    }
-                    // The release goes out (or is deferred until pushes
-                    // ack) BEFORE the local hand-off, so a successor's
-                    // acquire can never overtake it to the coordinator.
-                    if disseminated.is_empty() {
-                        sink.send(
-                            daemon.home_for(lock).unwrap_or(self.home),
-                            ports::SYNC,
-                            Msg::ReleaseLock {
-                                lock,
-                                site: self.site,
-                                new_version,
-                                disseminated_to: Vec::new(),
-                            },
-                            MsgClass::Control,
-                        );
-                    }
-                    // Local hand-off: next local waiter becomes the holder
-                    // and re-runs its Lock op (which sends its own acquire
-                    // to the coordinator — no local data short-circuit).
-                    let ll = self.local_locks.entry(lock).or_default();
-                    ll.holder = None;
-                    if let Some(next) = ll.waiters.pop_front() {
-                        ll.holder = Some(next);
-                        if self.threads[next].state == TState::WaitLocal(lock) {
-                            self.threads[next].state = TState::Ready;
-                        }
-                    }
-                    let thread = &mut self.threads[idx];
-                    thread.pc += 1;
-                    if !disseminated.is_empty() {
-                        // The release follows once dissemination is
-                        // acknowledged: the coordinator must never believe
-                        // a site is up to date before it actually is.
-                        thread.state = TState::WaitPush { lock, new_version };
-                        return;
-                    }
+                        Ok(_) => TState::Blocked,
+                        Err(_) => TState::Failed(format!("unlock of unheld {lock}")),
+                    };
                 }
                 Op::Write { replica, payload } => {
-                    if let Err(lock) = self.check_guard(idx, daemon, replica, true) {
-                        let thread = &mut self.threads[idx];
-                        Self::record(thread, now, format!("guard_violation:{lock}"));
-                        thread.pc += 1;
-                        continue;
+                    match self.client.check_guard(daemon, replica, true, Some(t.id)) {
+                        Err(lock) => t.records.push(Record {
+                            label: format!("guard_violation:{lock}"),
+                            at: now,
+                        }),
+                        Ok(()) => {
+                            if let Err(e) = daemon.write(replica, payload) {
+                                t.state = TState::Failed(e.to_string());
+                            }
+                        }
                     }
-                    if let Err(e) = daemon.write(replica, payload) {
-                        self.threads[idx].state = TState::Failed(e.to_string());
-                        return;
-                    }
-                    self.threads[idx].pc += 1;
                 }
                 Op::Read { replica } => {
-                    if let Err(lock) = self.check_guard(idx, daemon, replica, false) {
-                        let thread = &mut self.threads[idx];
-                        Self::record(thread, now, format!("guard_violation:{lock}"));
-                        thread.pc += 1;
-                        continue;
+                    match self.client.check_guard(daemon, replica, false, Some(t.id)) {
+                        Err(lock) => t.records.push(Record {
+                            label: format!("guard_violation:{lock}"),
+                            at: now,
+                        }),
+                        Ok(()) => match daemon.read(replica) {
+                            Ok(p) => t.observed.push(p.clone()),
+                            Err(e) => t.state = TState::Failed(e.to_string()),
+                        },
                     }
-                    match daemon.read(replica) {
-                        Ok(p) => {
-                            let p = p.clone();
-                            self.threads[idx].observed.push(p);
-                        }
-                        Err(e) => {
-                            self.threads[idx].state = TState::Failed(e.to_string());
-                            return;
-                        }
-                    }
-                    self.threads[idx].pc += 1;
                 }
                 Op::Publish { replica } => {
                     if let Err(e) = daemon.publish(replica, sink) {
-                        self.threads[idx].state = TState::Failed(e.to_string());
-                        return;
+                        t.state = TState::Failed(e.to_string());
                     }
-                    self.threads[idx].pc += 1;
                 }
-                Op::Compute(d) => {
-                    sink.charge_time(d);
-                    self.threads[idx].pc += 1;
-                }
+                Op::Compute(d) => sink.charge_time(d),
                 Op::Sleep(d) => {
-                    let token = timer_ns::APP | idx as u64;
-                    sink.set_timer(token, d);
-                    self.threads[idx].state = TState::Sleeping;
-                    self.threads[idx].pc += 1;
-                    return;
+                    sink.set_timer(timer_ns::APP | idx as u64, d);
+                    t.state = TState::Sleeping;
                 }
-                Op::Mark(label) => {
-                    let thread = &mut self.threads[idx];
-                    Self::record(thread, now, label);
-                    thread.pc += 1;
-                }
+                Op::Mark(label) => t.records.push(Record { label, at: now }),
             }
-        }
-    }
-
-    /// Entry-consistency guard: a replica associated with a lock may only
-    /// be accessed while this thread holds that lock. Unguarded replicas
-    /// (the paper's cached image replicas) are always accessible.
-    fn check_guard(
-        &self,
-        idx: usize,
-        daemon: &SiteDaemon,
-        replica: ReplicaId,
-        write: bool,
-    ) -> Result<(), LockId> {
-        match daemon.lock_of(replica) {
-            Some(lock) if lock != UNGUARDED => match self.threads[idx].granted.get(&lock) {
-                Some((_, LockMode::Exclusive)) => Ok(()),
-                Some((_, LockMode::Shared)) if !write => Ok(()),
-                _ => Err(lock),
-            },
-            _ => Ok(()),
+            self.absorb();
         }
     }
 
@@ -742,152 +521,23 @@ impl AppRunner {
         daemon: &mut SiteDaemon,
         sink: &mut CmdSink,
     ) {
-        match msg {
-            Msg::Grant {
-                lock,
-                version,
-                flag,
-            } => {
-                let Some(idx) = self
-                    .threads
-                    .iter()
-                    .position(|t| t.state == TState::WaitGrant(lock))
-                else {
-                    sink.note(format!("grant for {lock} with no waiter"));
-                    return;
-                };
-                let mode = self
-                    .pending_mode
-                    .remove(&lock)
-                    .unwrap_or(LockMode::Exclusive);
-                {
-                    let thread = &mut self.threads[idx];
-                    thread.granted.insert(lock, (version, mode));
-                    Self::record(thread, now, format!("lock_granted:{lock}"));
-                }
-                let have = daemon.version_of(lock);
-                if flag == VersionFlag::VersionOk || have >= version {
-                    let thread = &mut self.threads[idx];
-                    Self::record(thread, now, format!("lock_acquired:{lock}"));
-                    thread.state = TState::Ready;
-                } else {
-                    self.threads[idx].state = TState::WaitData {
-                        lock,
-                        need: version,
-                    };
-                    // Guard against a failed data leg (e.g. the transfer
-                    // source is partitioned from us): re-ask the
-                    // coordinator if the data does not arrive. The
-                    // coordinator re-grants and re-directs the transfer.
-                    sink.set_timer(timer_ns::APP | RETRY_FLAG | idx as u64, DATA_RETRY);
-                }
-                self.run(now, daemon, sink);
-            }
-            Msg::Heartbeat { lock, req } => {
-                // Liveness + hold check from the coordinator (§4).
-                let holding = self.threads.iter().any(|t| t.granted.contains_key(&lock));
-                sink.send(
-                    from,
-                    ports::SYNC,
-                    Msg::HeartbeatAck {
-                        site: self.site,
-                        req,
-                        holding,
-                    },
-                    MsgClass::Control,
-                );
-            }
-            Msg::LockRevoked { lock, .. } => {
-                let mut held = false;
-                for t in &mut self.threads {
-                    if t.granted.contains_key(&lock) {
-                        Self::record(t, now, format!("revoked:{lock}"));
-                        held = true;
-                    }
-                }
-                if held {
-                    self.revoked.insert(lock);
-                }
-            }
-            other => {
-                sink.note(format!("app runner ignoring {other:?}"));
-            }
-        }
+        self.client.on_msg(now, from, msg, daemon, sink);
+        self.run(now, daemon, sink);
     }
 
     /// Handles a local signal from the daemon.
     pub fn on_signal(
         &mut self,
         now: SimTime,
-        signal: &Signal,
+        signal: Signal,
         daemon: &mut SiteDaemon,
         sink: &mut CmdSink,
     ) {
-        match signal {
-            Signal::DataArrived { lock, version } => {
-                for idx in 0..self.threads.len() {
-                    if let TState::WaitData { lock: l, need } = self.threads[idx].state.clone() {
-                        if l == *lock {
-                            let label = if *version >= need {
-                                format!("data_ready:{lock}")
-                            } else {
-                                // Weakened consistency: the freshest
-                                // surviving version is older than promised.
-                                format!("data_stale:{lock}")
-                            };
-                            let local = daemon.version_of(*lock);
-                            let thread = &mut self.threads[idx];
-                            Self::record(thread, now, label);
-                            Self::record(thread, now, format!("lock_acquired:{lock}"));
-                            // The thread proceeds with whatever version
-                            // the daemon now holds.
-                            let mode = thread
-                                .granted
-                                .get(lock)
-                                .map_or(LockMode::Exclusive, |(_, m)| *m);
-                            thread.granted.insert(*lock, (local, mode));
-                            thread.state = TState::Ready;
-                        }
-                    }
-                }
-                self.run(now, daemon, sink);
-            }
-            Signal::PushesComplete { lock, acked } => {
-                let site = self.site;
-                let home = daemon.home_for(*lock).unwrap_or(self.home);
-                for t in &mut self.threads {
-                    if let TState::WaitPush {
-                        lock: l,
-                        new_version,
-                    } = t.state.clone()
-                    {
-                        if l == *lock {
-                            Self::record(t, now, format!("pushes_done:{lock}"));
-                            sink.send(
-                                home,
-                                ports::SYNC,
-                                Msg::ReleaseLock {
-                                    lock: *lock,
-                                    site,
-                                    new_version,
-                                    disseminated_to: acked.clone(),
-                                },
-                                MsgClass::Control,
-                            );
-                            t.state = TState::Ready;
-                        }
-                    }
-                }
-                self.run(now, daemon, sink);
-            }
-            Signal::HomeChanged { new_home } => {
-                self.on_home_changed(now, *new_home, sink);
-            }
-            Signal::SpawnDone { .. } => {}
-        }
+        self.client.on_signal(now, signal, daemon, sink);
+        self.run(now, daemon, sink);
     }
 
-    /// Handles an application timer (sleep expiry).
+    /// Handles an application timer (sleep expiry or a lock-client retry).
     /// Returns `true` if the token belonged to this component.
     pub fn on_timer(
         &mut self,
@@ -899,115 +549,30 @@ impl AppRunner {
         if timer_ns::of(token) != timer_ns::APP {
             return false;
         }
-        let idx = (token & 0xffff_ffff) as usize;
-        if token & RETRY_FLAG != 0 {
-            // Acquire retry for a thread stranded by home unreachability
-            // or by a transfer whose data leg failed.
-            let Some(TState::WaitHome(lock) | TState::WaitData { lock, .. }) =
-                self.threads.get(idx).map(|t| t.state.clone())
-            else {
-                return true; // recovered some other way
-            };
-            // Ask the daemon for the coordinator's current location (§4:
-            // threads "query the local daemon thread to obtain the
-            // location of the newly created surrogate synchronization
-            // thread").
-            self.home = daemon.home();
-            // Directory mode routes the retry per lock — the directory may
-            // have learned a migrated home while this thread waited.
-            let home = daemon.home_for(lock).unwrap_or(self.home);
-            let mode = self
-                .threads
-                .get(idx)
-                .and_then(|t| t.granted.get(&lock).map(|(_, m)| *m))
-                .or_else(|| self.pending_mode.get(&lock).copied())
-                .unwrap_or(LockMode::Exclusive);
-            self.pending_mode.insert(lock, mode);
-            let Some(t) = self.threads.get_mut(idx) else {
-                return true;
-            };
-            Self::record(t, now, format!("reacquire_retry:{lock}"));
-            sink.send_tagged(
-                home,
-                ports::SYNC,
-                Msg::AcquireLock {
-                    lock,
-                    site: self.site,
-                    thread: t.id,
-                    lease_hint_ms: 0,
-                    mode,
-                },
-                MsgClass::Control,
-                SendTag::Acquire { lock },
-            );
-            t.state = TState::WaitGrant(lock);
-            return true;
-        }
-        if let Some(t) = self.threads.get_mut(idx) {
-            if t.state == TState::Sleeping {
-                t.state = TState::Ready;
+        if !self.client.on_timer(now, token, daemon, sink) {
+            if let Some(t) = self.threads.get_mut((token & 0xffff_ffff) as usize) {
+                if t.state == TState::Sleeping {
+                    t.state = TState::Ready;
+                }
             }
         }
         self.run(now, daemon, sink);
         true
     }
 
-    /// Handles a transport failure of a tagged application send. The
-    /// thread does not fail outright: it waits for either a surrogate
-    /// coordinator announcement (§4's synchronization-thread recovery) or
-    /// a periodic retry — the home may merely be partitioned away and the
-    /// path may heal.
+    /// Handles a transport failure of a tagged application send.
     pub fn on_send_failed(&mut self, now: SimTime, tag: &SendTag, sink: &mut CmdSink) {
-        if let SendTag::Acquire { lock } = tag {
-            for (idx, t) in self.threads.iter_mut().enumerate() {
-                if t.state == TState::WaitGrant(*lock) {
-                    Self::record(t, now, format!("home_unreachable:{lock}"));
-                    t.state = TState::WaitHome(*lock);
-                    sink.set_timer(timer_ns::APP | RETRY_FLAG | idx as u64, HOME_RETRY);
-                }
-            }
-        }
-    }
-
-    /// Handles the surrogate-coordinator announcement: redirect, and
-    /// resend any acquire that was outstanding or stranded.
-    pub fn on_home_changed(&mut self, now: SimTime, new_home: SiteId, sink: &mut CmdSink) {
-        self.home = new_home;
-        let site = self.site;
-        for t in &mut self.threads {
-            let (TState::WaitHome(lock) | TState::WaitGrant(lock)) = t.state else {
-                continue;
-            };
-            let mode = self
-                .pending_mode
-                .get(&lock)
-                .copied()
-                .unwrap_or(LockMode::Exclusive);
-            Self::record(t, now, format!("reacquire_at_surrogate:{lock}"));
-            sink.send_tagged(
-                new_home,
-                ports::SYNC,
-                Msg::AcquireLock {
-                    lock,
-                    site,
-                    thread: t.id,
-                    lease_hint_ms: 0,
-                    mode,
-                },
-                MsgClass::Control,
-                SendTag::Acquire { lock },
-            );
-            t.state = TState::WaitGrant(lock);
-        }
+        self.client.on_send_failed(now, tag, sink);
+        self.absorb();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cmd::Cmd;
     use mocha_wire::codec::CodecKind;
-    use mocha_wire::RequestId;
+    use mocha_wire::message::VersionFlag;
+    use mocha_wire::Version;
 
     const SITE: SiteId = SiteId(1);
     const HOME: SiteId = SiteId(0);
@@ -1015,7 +580,7 @@ mod tests {
 
     fn setup() -> (AppRunner, SiteDaemon, CmdSink) {
         (
-            AppRunner::new(SITE, HOME),
+            AppRunner::new(SITE),
             SiteDaemon::new(SITE, HOME, CodecKind::ByteAtATime),
             CmdSink::new(),
         )
@@ -1025,43 +590,29 @@ mod tests {
         SimTime::ZERO + Duration::from_millis(ms)
     }
 
-    fn grant(version: u64, flag: VersionFlag) -> Msg {
+    fn grant(version: u64) -> Msg {
         Msg::Grant {
             lock: L,
             version: Version(version),
-            flag,
+            flag: VersionFlag::VersionOk,
         }
     }
 
-    #[test]
-    fn lock_sends_acquire_and_blocks() {
-        let (mut r, mut d, mut sink) = setup();
-        let th = r.add_thread(Script::new().register(L, &["x"]).lock(L).unlock(L));
-        r.run(t(0), &mut d, &mut sink);
-        let cmds = sink.drain();
-        assert!(cmds.iter().any(|c| matches!(c,
-            Cmd::Send { msg: Msg::AcquireLock { lock, .. }, .. } if *lock == L)));
-        assert!(!r.all_done());
-        assert_eq!(r.records(th).last().unwrap().label, "lock_request:lock1");
+    fn labels(r: &AppRunner, th: ThreadId) -> Vec<&str> {
+        r.records(th).iter().map(|rec| rec.label.as_str()).collect()
     }
 
     #[test]
-    fn version_ok_grant_unblocks_immediately() {
+    fn lock_blocks_the_thread_and_client_events_become_records() {
         let (mut r, mut d, mut sink) = setup();
         let th = r.add_thread(Script::new().register(L, &["x"]).lock(L).unlock(L));
         r.run(t(0), &mut d, &mut sink);
-        sink.drain();
-        r.on_msg(
-            t(5),
-            HOME,
-            grant(0, VersionFlag::VersionOk),
-            &mut d,
-            &mut sink,
-        );
+        assert!(!r.all_done());
+        assert_eq!(labels(&r, th), vec!["lock_request:lock1"]);
+        r.on_msg(t(5), HOME, grant(0), &mut d, &mut sink);
         assert!(r.all_done());
-        let labels: Vec<&str> = r.records(th).iter().map(|rec| rec.label.as_str()).collect();
         assert_eq!(
-            labels,
+            labels(&r, th),
             vec![
                 "lock_request:lock1",
                 "lock_granted:lock1",
@@ -1069,177 +620,23 @@ mod tests {
                 "unlock:lock1"
             ]
         );
-        // Release was sent with unchanged version (clean unlock).
-        let release_ok = sink.drain().iter().any(|c| {
-            matches!(c,
-            Cmd::Send { msg: Msg::ReleaseLock { new_version, .. }, .. }
-                if *new_version == Version(0))
-        });
-        assert!(release_ok);
+        assert_eq!(r.records(th)[0].at, t(0));
+        assert_eq!(r.records(th)[3].at, t(5));
     }
 
     #[test]
-    fn need_new_version_waits_for_data() {
+    fn a_second_thread_waits_for_the_first_ones_unlock() {
         let (mut r, mut d, mut sink) = setup();
-        let th = r.add_thread(Script::new().register(L, &["x"]).lock(L).unlock(L));
+        let first = r.add_thread(Script::new().register(L, &["x"]).lock(L).unlock(L));
+        let second = r.add_thread(Script::new().lock(L).mark("in").unlock(L));
         r.run(t(0), &mut d, &mut sink);
-        sink.drain();
-        r.on_msg(
-            t(5),
-            HOME,
-            grant(3, VersionFlag::NeedNewVersion),
-            &mut d,
-            &mut sink,
-        );
-        assert!(!r.all_done(), "must wait for data");
-        // Data arrives at the daemon.
-        d.on_msg(
-            t(9),
-            SiteId(2),
-            Msg::ReplicaData {
-                lock: L,
-                version: Version(3),
-                updates: vec![],
-                req: RequestId(0),
-            },
-            &mut sink,
-        );
-        r.on_signal(
-            t(10),
-            &Signal::DataArrived {
-                lock: L,
-                version: Version(3),
-            },
-            &mut d,
-            &mut sink,
-        );
+        assert!(labels(&r, second).is_empty(), "queued locally");
+        r.on_msg(t(5), HOME, grant(0), &mut d, &mut sink);
+        assert_eq!(labels(&r, first).last(), Some(&"unlock:lock1"));
+        assert_eq!(labels(&r, second), vec!["lock_request:lock1"]);
+        r.on_msg(t(8), HOME, grant(0), &mut d, &mut sink);
         assert!(r.all_done());
-        let labels: Vec<&str> = r.records(th).iter().map(|rec| rec.label.as_str()).collect();
-        assert!(labels.contains(&"data_ready:lock1"));
-    }
-
-    #[test]
-    fn stale_data_is_labelled_and_still_unblocks() {
-        let (mut r, mut d, mut sink) = setup();
-        let th = r.add_thread(Script::new().register(L, &["x"]).lock(L).unlock(L));
-        r.run(t(0), &mut d, &mut sink);
-        sink.drain();
-        r.on_msg(
-            t(5),
-            HOME,
-            grant(9, VersionFlag::NeedNewVersion),
-            &mut d,
-            &mut sink,
-        );
-        // Recovery could only find version 2.
-        d.on_msg(
-            t(9),
-            SiteId(2),
-            Msg::ReplicaData {
-                lock: L,
-                version: Version(2),
-                updates: vec![],
-                req: RequestId(0),
-            },
-            &mut sink,
-        );
-        r.on_signal(
-            t(10),
-            &Signal::DataArrived {
-                lock: L,
-                version: Version(2),
-            },
-            &mut d,
-            &mut sink,
-        );
-        assert!(r.all_done());
-        let labels: Vec<&str> = r.records(th).iter().map(|rec| rec.label.as_str()).collect();
-        assert!(labels.contains(&"data_stale:lock1"));
-    }
-
-    #[test]
-    fn dirty_unlock_advances_version() {
-        let (mut r, mut d, mut sink) = setup();
-        let x = crate::replica::replica_id("x");
-        r.add_thread(
-            Script::new()
-                .register(L, &["x"])
-                .lock(L)
-                .write(x, ReplicaPayload::I32s(vec![1]))
-                .unlock_dirty(L),
-        );
-        r.run(t(0), &mut d, &mut sink);
-        sink.drain();
-        r.on_msg(
-            t(5),
-            HOME,
-            grant(4, VersionFlag::VersionOk),
-            &mut d,
-            &mut sink,
-        );
-        let release_version = sink.drain().into_iter().find_map(|c| match c {
-            Cmd::Send {
-                msg: Msg::ReleaseLock { new_version, .. },
-                ..
-            } => Some(new_version),
-            _ => None,
-        });
-        assert_eq!(release_version, Some(Version(5)));
-        assert_eq!(d.version_of(L), Version(5));
-    }
-
-    #[test]
-    fn local_threads_queue_fairly_and_both_contact_coordinator() {
-        let (mut r, mut d, mut sink) = setup();
-        r.add_thread(Script::new().register(L, &["x"]).lock(L).unlock(L));
-        r.add_thread(Script::new().lock(L).unlock(L));
-        r.run(t(0), &mut d, &mut sink);
-        // Only one acquire so far (thread 1 waits locally).
-        let acquires = sink
-            .drain()
-            .iter()
-            .filter(|c| {
-                matches!(
-                    c,
-                    Cmd::Send {
-                        msg: Msg::AcquireLock { .. },
-                        ..
-                    }
-                )
-            })
-            .count();
-        assert_eq!(acquires, 1);
-        // Grant thread 0; it unlocks; thread 1 must then send its own
-        // acquire (no local short-circuit).
-        r.on_msg(
-            t(5),
-            HOME,
-            grant(0, VersionFlag::VersionOk),
-            &mut d,
-            &mut sink,
-        );
-        let acquires = sink
-            .drain()
-            .iter()
-            .filter(|c| {
-                matches!(
-                    c,
-                    Cmd::Send {
-                        msg: Msg::AcquireLock { .. },
-                        ..
-                    }
-                )
-            })
-            .count();
-        assert_eq!(acquires, 1, "second thread contacts coordinator");
-        r.on_msg(
-            t(8),
-            HOME,
-            grant(0, VersionFlag::VersionOk),
-            &mut d,
-            &mut sink,
-        );
-        assert!(r.all_done());
+        assert!(labels(&r, second).contains(&"in"));
     }
 
     #[test]
@@ -1252,8 +649,29 @@ mod tests {
                 .write(x, ReplicaPayload::I32s(vec![1])), // no lock held!
         );
         r.run(t(0), &mut d, &mut sink);
-        let labels: Vec<&str> = r.records(th).iter().map(|rec| rec.label.as_str()).collect();
-        assert!(labels.iter().any(|l| l.starts_with("guard_violation")));
+        assert_eq!(labels(&r, th), vec!["guard_violation:lock1"]);
+        assert!(r.all_done(), "the script carries on");
+    }
+
+    #[test]
+    fn another_threads_hold_does_not_open_the_guard() {
+        let (mut r, mut d, mut sink) = setup();
+        let x = crate::replica::replica_id("x");
+        r.add_thread(
+            Script::new()
+                .register(L, &["x"])
+                .lock(L)
+                .sleep(Duration::from_millis(100)),
+        );
+        r.run(t(0), &mut d, &mut sink);
+        r.on_msg(t(5), HOME, grant(0), &mut d, &mut sink);
+        let intruder = r.add_thread(Script::new().read(x).unlock(L));
+        r.run(t(6), &mut d, &mut sink);
+        assert_eq!(labels(&r, intruder), vec!["guard_violation:lock1"]);
+        assert_eq!(
+            r.failures(),
+            vec![(intruder, "unlock of unheld lock1".into())]
+        );
     }
 
     #[test]
@@ -1277,38 +695,9 @@ mod tests {
         r.add_thread(Script::new().sleep(Duration::from_millis(50)).mark("woke"));
         r.run(t(0), &mut d, &mut sink);
         assert!(!r.all_done());
-        let token = timer_ns::APP;
-        assert!(r.on_timer(t(50), token, &mut d, &mut sink));
+        assert!(!r.on_timer(t(50), timer_ns::DAEMON, &mut d, &mut sink));
+        assert!(r.on_timer(t(50), timer_ns::APP, &mut d, &mut sink));
         assert!(r.all_done());
-    }
-
-    #[test]
-    fn home_unreachable_waits_for_surrogate_and_reacquires() {
-        let (mut r, mut d, mut sink) = setup();
-        let th = r.add_thread(Script::new().register(L, &["x"]).lock(L).unlock(L));
-        r.run(t(0), &mut d, &mut sink);
-        sink.drain();
-        r.on_send_failed(t(10), &SendTag::Acquire { lock: L }, &mut sink);
-        assert!(!r.all_done(), "thread waits for a surrogate");
-        // A surrogate at site 5 announces itself.
-        r.on_home_changed(t(20), SiteId(5), &mut sink);
-        let resent = sink.drain().iter().any(|c| {
-            matches!(c,
-            Cmd::Send { to, msg: Msg::AcquireLock { .. }, .. } if *to == SiteId(5))
-        });
-        assert!(resent, "acquire re-sent to the surrogate");
-        // Grant from the surrogate completes the script.
-        r.on_msg(
-            t(25),
-            SiteId(5),
-            grant(0, VersionFlag::VersionOk),
-            &mut d,
-            &mut sink,
-        );
-        assert!(r.all_done());
-        let labels: Vec<&str> = r.records(th).iter().map(|rec| rec.label.as_str()).collect();
-        assert!(labels.contains(&"home_unreachable:lock1"));
-        assert!(labels.contains(&"reacquire_at_surrogate:lock1"));
     }
 
     #[test]
@@ -1317,110 +706,6 @@ mod tests {
         r.add_thread(Script::new().unlock(L));
         r.run(t(0), &mut d, &mut sink);
         assert_eq!(r.failures().len(), 1);
-    }
-
-    #[test]
-    fn revocation_while_held_marks_the_release() {
-        let (mut r, mut d, mut sink) = setup();
-        let th = r.add_thread(
-            Script::new()
-                .register(L, &["x"])
-                .lock(L)
-                .sleep(Duration::from_millis(100)) // long critical section
-                .unlock_dirty(L),
-        );
-        r.run(t(0), &mut d, &mut sink);
-        sink.drain();
-        r.on_msg(
-            t(5),
-            HOME,
-            grant(0, VersionFlag::VersionOk),
-            &mut d,
-            &mut sink,
-        );
-        // While sleeping, the coordinator breaks the lock.
-        r.on_msg(
-            t(50),
-            HOME,
-            Msg::LockRevoked {
-                lock: L,
-                version: Version(0),
-            },
-            &mut d,
-            &mut sink,
-        );
-        // Wake up and unlock.
-        assert!(r.on_timer(t(105), timer_ns::APP, &mut d, &mut sink));
-        assert!(r.all_done());
-        let labels: Vec<&str> = r.records(th).iter().map(|rec| rec.label.as_str()).collect();
-        assert!(labels.contains(&"revoked:lock1"));
-        assert!(labels.contains(&"unlock_revoked:lock1"));
-    }
-
-    #[test]
-    fn wait_for_acks_blocks_until_pushes_complete() {
-        let (mut r, mut d, mut sink) = setup();
-        // Site knows about a peer member so dissemination has a target.
-        let th = r.add_thread(
-            Script::new()
-                .register(L, &["x"])
-                .set_availability(
-                    L,
-                    AvailabilityConfig {
-                        ur: 2,
-                        wait_for_acks: true,
-                    },
-                )
-                .lock(L)
-                .unlock_dirty(L),
-        );
-        r.run(t(0), &mut d, &mut sink);
-        sink.drain();
-        // Teach the daemon about member site 2 (coordinator forward).
-        d.on_msg(
-            t(1),
-            HOME,
-            Msg::RegisterReplica {
-                lock: L,
-                replica: crate::replica::replica_id("x"),
-                site: SiteId(2),
-                name: "x".into(),
-            },
-            &mut sink,
-        );
-        sink.drain();
-        r.on_msg(
-            t(5),
-            HOME,
-            grant(0, VersionFlag::VersionOk),
-            &mut d,
-            &mut sink,
-        );
-        assert!(!r.all_done(), "waiting for push acks");
-        // Ack arrives at the daemon; daemon signals completion.
-        d.on_msg(
-            t(9),
-            SiteId(2),
-            Msg::PushAck {
-                lock: L,
-                version: Version(1),
-                site: SiteId(2),
-                req: RequestId(1),
-            },
-            &mut sink,
-        );
-        r.on_signal(
-            t(10),
-            &Signal::PushesComplete {
-                lock: L,
-                acked: vec![SiteId(2)],
-            },
-            &mut d,
-            &mut sink,
-        );
-        assert!(r.all_done());
-        let labels: Vec<&str> = r.records(th).iter().map(|rec| rec.label.as_str()).collect();
-        assert!(labels.contains(&"pushes_done:lock1"));
     }
 
     #[test]

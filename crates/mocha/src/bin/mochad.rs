@@ -211,10 +211,7 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
     if args.ur > 1 {
-        let avail = AvailabilityConfig {
-            ur: args.ur,
-            ..AvailabilityConfig::default()
-        };
+        let avail = AvailabilityConfig { ur: args.ur };
         if let Err(e) = handle.set_availability(LOCK, avail) {
             eprintln!("mochad: set_availability failed: {e}");
             return ExitCode::FAILURE;

@@ -1,8 +1,8 @@
 //! Commands emitted by protocol components and local cross-component
 //! signals.
 //!
-//! Every protocol actor (coordinator, daemon, application runner, site
-//! manager) is a state machine: events in, [`Cmd`]s out. A *driver* (the
+//! Every protocol actor (coordinator, daemon, lock client, site manager)
+//! is a state machine: events in, [`Cmd`]s out. A *driver* (the
 //! simulator host in [`crate::runtime::sim`], the site event loop in
 //! [`crate::runtime::thread`]) executes the commands — sending messages
 //! through a transport, charging CPU, arming timers, and routing
@@ -271,7 +271,8 @@ pub mod timer_ns {
     pub const COORD: u64 = 0x03 << 56;
     /// Site daemons.
     pub const DAEMON: u64 = 0x04 << 56;
-    /// Application runners (sleep timers).
+    /// The lock client (per-lock retry timers) and the script runner
+    /// (sleep timers).
     pub const APP: u64 = 0x05 << 56;
     /// Site managers.
     pub const MANAGER: u64 = 0x06 << 56;

@@ -12,25 +12,21 @@ use mocha_wire::codec::CodecKind;
 /// object". With `ur == 1` only the producing site holds the current value;
 /// with `ur == k` the releasing daemon pushes the new value to `k − 1`
 /// other registered sites at every release, purely for availability.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+///
+/// Dissemination is always acknowledged before the release message is
+/// sent (and before `unlock()` returns): the coordinator's up-to-date set
+/// must never be optimistic, or a grantee could see `VERSIONOK` while the
+/// push to it is still in flight (a lost-update hazard found by the
+/// stress tests).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct AvailabilityConfig {
     /// Number of up-to-date copies to maintain (≥ 1).
     pub ur: usize,
-    /// Retained for configuration compatibility; dissemination is always
-    /// acknowledged before the release message is sent (and before
-    /// `unlock()` returns) — the coordinator's up-to-date set must never
-    /// be optimistic, or a grantee could see `VERSIONOK` while the push to
-    /// it is still in flight (a lost-update hazard found by the stress
-    /// tests).
-    pub wait_for_acks: bool,
 }
 
 impl Default for AvailabilityConfig {
     fn default() -> Self {
-        AvailabilityConfig {
-            ur: 1,
-            wait_for_acks: false,
-        }
+        AvailabilityConfig { ur: 1 }
     }
 }
 
@@ -336,7 +332,6 @@ mod tests {
     fn availability_default_is_no_dissemination() {
         let a = AvailabilityConfig::default();
         assert_eq!(a.ur, 1);
-        assert!(!a.wait_for_acks);
     }
 
     #[test]

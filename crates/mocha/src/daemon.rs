@@ -216,8 +216,10 @@ impl SiteDaemon {
         self.directory.as_ref().and_then(|d| d.home_of(lock))
     }
 
-    /// Where this daemon addresses coordinator traffic for `lock`.
-    fn sync_home(&self, lock: LockId) -> SiteId {
+    /// Where this site addresses coordinator traffic for `lock`: the
+    /// directory's answer, else the fixed home (which follows a surrogate
+    /// announcement). The one routing decision for daemon and lock client.
+    pub(crate) fn sync_home(&self, lock: LockId) -> SiteId {
         self.home_for(lock).unwrap_or(self.home)
     }
 

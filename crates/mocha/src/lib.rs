@@ -22,8 +22,10 @@
 //! * a **daemon thread** per site ([`daemon::SiteDaemon`]) stores replica
 //!   values, serves transfer directives, applies pushed updates, and
 //!   answers failure-handling polls and heartbeats;
-//! * **application threads** ([`app::AppRunner`]) acquire and release
-//!   locks and read/write replicas while holding them.
+//! * **application threads** acquire and release locks through the
+//!   site's [`client::LockClient`] and read/write replicas while holding
+//!   them — scripted ([`app::AppRunner`]) in the simulator, through the
+//!   blocking [`runtime::thread::MochaHandle`] API in real time.
 //!
 //! Replica data always travels daemon-to-daemon, never through the
 //! coordinator — the paper's locality optimisation.
@@ -50,7 +52,9 @@
 //! * [`runtime::sim`] — the deterministic virtual-time simulator (used by
 //!   every benchmark and by deterministic failure-injection tests);
 //! * [`runtime::thread`] — real OS threads with a blocking API
-//!   ([`runtime::thread::ThreadRuntime`]), used by the examples.
+//!   ([`runtime::thread::ThreadRuntime`]), used by the examples;
+//! * [`runtime::socket`] — the same blocking API over real UDP/TCP
+//!   sockets (the `mochad` deployment).
 //!
 //! ## Quick start (simulated cluster)
 //!
@@ -89,6 +93,7 @@
 #![warn(missing_docs)]
 
 pub mod app;
+pub mod client;
 pub mod cmd;
 pub mod config;
 pub mod daemon;

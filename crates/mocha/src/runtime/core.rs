@@ -3,31 +3,31 @@
 //! [`socket`](crate::runtime::socket)).
 //!
 //! A [`SiteCore`] hosts the same protocol state machines as the simulator
-//! (daemon, coordinator at the home site, site manager) plus the blocking
-//! application-API bookkeeping (lock waiters, deferred releases, pending
-//! spawns). It is generic over a [`Link`] — the one operation the
-//! runtimes implement differently: shipping a protocol message toward a
-//! remote site. The in-process thread runtime delivers through a channel
-//! router and learns of dead peers synchronously; the socket runtime
-//! hands messages to MochaNet over real UDP and learns of dead peers
-//! asynchronously through retry exhaustion. Everything else — command
+//! (daemon, lock client, coordinator at the home site, site manager) plus
+//! the blocking application API's channel adaptor (which caller waits on
+//! which ticket, pending spawns). It is generic over a [`Link`] — the one
+//! operation the runtimes implement differently: shipping a protocol
+//! message toward a remote site. The in-process thread runtime delivers
+//! through a channel router and learns of dead peers synchronously; the
+//! socket runtime hands messages to MochaNet over real UDP and learns of
+//! dead peers asynchronously through retry exhaustion. Everything else — command
 //! processing, timers (a wall-clock [`TimerWheel`]), signals, the
 //! application request surface — is identical and lives here.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
-use parking_lot::Mutex;
 
 use mocha_net::{ports, MsgClass, Port, TimerWheel};
 use mocha_sim::SimTime;
 use mocha_store::{SiteStore, StoreHandle};
-use mocha_wire::message::{LockMode, VersionFlag};
-use mocha_wire::{LockId, Msg, ReplicaId, ReplicaPayload, RequestId, SiteId, ThreadId, Version};
+use mocha_wire::message::LockMode;
+use mocha_wire::{LockId, Msg, ReplicaId, ReplicaPayload, RequestId, SiteId, ThreadId};
 
-use crate::app::UNGUARDED;
+pub use crate::client::Freshness;
+use crate::client::{ClientEventKind, LockClient};
 use crate::cmd::{timer_ns, Cmd, CmdSink, SendTag, Signal};
 use crate::config::{AvailabilityConfig, MochaConfig};
 use crate::daemon::{DaemonStats, SiteDaemon};
@@ -63,10 +63,6 @@ pub(crate) fn await_reply<T>(rx: &Receiver<T>) -> Result<T, ReplyTimeout> {
     // lint: allow(blocking)
     rx.recv_timeout(BLOCKING_TIMEOUT).map_err(|_| ReplyTimeout)
 }
-
-/// A release deferred until dissemination acks: (new version, the
-/// caller's reply channel, whether the lock was revoked while held).
-type PendingRelease = (Version, Sender<Result<(), MochaError>>, bool);
 
 /// How a runtime ships one protocol message toward a remote site.
 ///
@@ -114,22 +110,6 @@ impl ResultHandle {
             Err(_) => Err(self),
         }
     }
-}
-
-/// How fresh the replica state behind a successful `lock()` is.
-///
-/// `Stale` is the paper's §4 *weakened consistency*: the newest version
-/// died with a failed site, and the freshest *surviving* copy was
-/// delivered instead. "The home user can recognize unwanted
-/// characteristics of the old version and reapply the appropriate
-/// updates."
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Freshness {
-    /// The replicas carry the most recent committed version.
-    Current,
-    /// A newer version was lost to a failure; this is the freshest
-    /// surviving state.
-    Stale,
 }
 
 /// A protocol message with its routing metadata, as delivered to a site
@@ -213,19 +193,6 @@ pub(crate) enum LoopInput {
     },
 }
 
-/// A waiting lock request at a site.
-pub(crate) struct LockWaiter {
-    lease_ms: u32,
-    mode: LockMode,
-    /// Unique per request, so the coordinator can tell requests from
-    /// different application threads at the same site apart.
-    thread: ThreadId,
-    /// Version the grant promised (set once the grant arrives; used to
-    /// classify freshness when the data catches up).
-    promised: Version,
-    reply: Sender<Result<Freshness, MochaError>>,
-}
-
 /// Construction-time parameters shared by every site of a runtime.
 pub(crate) struct CoreSeed {
     pub(crate) site: SiteId,
@@ -236,7 +203,6 @@ pub(crate) struct CoreSeed {
     pub(crate) config: MochaConfig,
     pub(crate) registry: Arc<TaskRegistry>,
     pub(crate) epoch: Instant,
-    pub(crate) stable_log: Arc<Mutex<Vec<(SiteId, Msg)>>>,
     pub(crate) counters: Arc<RuntimeCounters>,
     /// Durable store to open and recover from, if this site opted in.
     pub(crate) store: Option<StoreHandle>,
@@ -245,9 +211,9 @@ pub(crate) struct CoreSeed {
 /// The per-site event loop state, generic over the outbound transport.
 pub(crate) struct SiteCore<L: Link> {
     pub(crate) site: SiteId,
-    pub(crate) home: SiteId,
     pub(crate) config: MochaConfig,
     pub(crate) daemon: SiteDaemon,
+    client: LockClient,
     pub(crate) coordinator: Option<SyncCoordinator>,
     pub(crate) manager: SiteManager,
     pub(crate) sink: CmdSink,
@@ -255,28 +221,14 @@ pub(crate) struct SiteCore<L: Link> {
     pub(crate) epoch: Instant,
     pub(crate) counters: Arc<RuntimeCounters>,
     // --- application bookkeeping ---
-    avail: HashMap<LockId, AvailabilityConfig>,
-    /// Outstanding acquire per lock (only one per site at a time).
-    pending_grant: HashMap<LockId, LockWaiter>,
-    /// Grant arrived but data still in flight.
-    wait_data: HashMap<LockId, LockWaiter>,
-    /// Held locks with their granted versions and access modes.
-    held: HashMap<LockId, (Version, LockMode)>,
-    /// Locks revoked while held.
-    revoked: HashSet<LockId>,
-    /// Local FIFO of lock requests behind the current one.
-    local_queue: HashMap<LockId, VecDeque<LockWaiter>>,
-    /// Releases deferred until dissemination acks arrive:
-    /// lock → (new version, reply channel, was revoked).
-    wait_push: HashMap<LockId, PendingRelease>,
+    /// Callers blocked in `lock()`, by the ticket their request carries.
+    lock_replies: HashMap<ThreadId, Sender<Result<Freshness, MochaError>>>,
+    /// Callers blocked in `unlock()`, by the released hold's ticket.
+    unlock_replies: HashMap<ThreadId, Sender<Result<(), MochaError>>>,
     /// Spawns awaiting results.
     pending_spawns: HashMap<RequestId, Sender<Result<TravelBag, MochaError>>>,
     /// Collected `mochaPrintln` output.
     prints: Vec<String>,
-    /// The coordinator's stable-storage log (§4: "logging its state"):
-    /// shared with the runtime so a surrogate can replay it after the
-    /// home dies. Only the site currently hosting the coordinator writes.
-    pub(crate) stable_log: Arc<Mutex<Vec<(SiteId, Msg)>>>,
     /// Wall-clock timers for every component (and, in the socket
     /// runtime, the transport) — one wheel per site, like the
     /// simulator's single event queue.
@@ -295,7 +247,11 @@ pub(crate) struct SiteCore<L: Link> {
     /// Coordinator stats at the last mirror point (zero when this site
     /// hosts no coordinator).
     last_coord_stats: CoordinatorStats,
-    next_thread: u32,
+    next_ticket: u32,
+    /// `MOCHA_TRACE` was set when the site started: print protocol
+    /// traffic (the paper's "event logging ... insight into execution at
+    /// remote locations").
+    trace: bool,
     pub(crate) stop: bool,
 }
 
@@ -308,7 +264,6 @@ impl<L: Link> SiteCore<L> {
             config,
             registry,
             epoch,
-            stable_log,
             counters,
             store,
         } = seed;
@@ -344,9 +299,9 @@ impl<L: Link> SiteCore<L> {
             .map_or(0, |s| s.recovered().announcement().len());
         SiteCore {
             site,
-            home,
             config,
             daemon,
+            client: LockClient::new(site),
             recovered_locks,
             // Hash-directory mode: every site hosts a coordinator owning
             // its ring share. Legacy mode: only the fixed home does.
@@ -360,31 +315,22 @@ impl<L: Link> SiteCore<L> {
             link,
             epoch,
             counters,
-            stable_log,
             store,
             last_daemon_stats: DaemonStats::default(),
             last_coord_stats: CoordinatorStats::default(),
-            avail: HashMap::new(),
-            pending_grant: HashMap::new(),
-            wait_data: HashMap::new(),
-            held: HashMap::new(),
-            revoked: HashSet::new(),
-            local_queue: HashMap::new(),
-            wait_push: HashMap::new(),
+            lock_replies: HashMap::new(),
+            unlock_replies: HashMap::new(),
             pending_spawns: HashMap::new(),
             prints: Vec::new(),
             timers: TimerWheel::new(),
-            next_thread: 0,
+            next_ticket: 0,
+            trace: std::env::var_os("MOCHA_TRACE").is_some(),
             stop: false,
         }
     }
 
     pub(crate) fn now(&self) -> SimTime {
         SimTime::from_nanos(u64::try_from(self.epoch.elapsed().as_nanos()).unwrap_or(u64::MAX))
-    }
-
-    fn config_snapshot(&self) -> MochaConfig {
-        self.config
     }
 
     /// Earliest pending timer deadline.
@@ -406,14 +352,10 @@ impl<L: Link> SiteCore<L> {
                 continue;
             }
             let now = self.now();
-            if ns == timer_ns::APP {
-                // Data-leg retry: the grant arrived but the transfer never
-                // did; re-ask the coordinator.
-                let lock = LockId((token & 0xffff_ffff) as u32);
-                if let Some(waiter) = self.wait_data.remove(&lock) {
-                    self.held.remove(&lock);
-                    self.send_acquire(lock, waiter);
-                }
+            if self
+                .client
+                .on_timer(now, token, &self.daemon, &mut self.sink)
+            {
                 continue;
             }
             if let Some(c) = self.coordinator.as_mut() {
@@ -441,28 +383,7 @@ impl<L: Link> SiteCore<L> {
         if from != self.site {
             self.counters.inc_msgs_delivered();
         }
-        // Mirror state-mutating coordinator traffic to stable storage.
-        if self.coordinator.is_some()
-            && port == ports::SYNC
-            && matches!(
-                msg,
-                Msg::AcquireLock { .. }
-                    | Msg::ReleaseLock { .. }
-                    | Msg::RegisterReplica { .. }
-                    | Msg::SiteRecovered { .. }
-            )
-        {
-            // Held for one Vec::push on an uncontended parking_lot mutex;
-            // the reactor shard cannot wedge on it.
-            // lint: allow(blocking)
-            self.stable_log.lock().push((from, msg.clone()));
-        }
-        // Debug facility (the paper's "event logging ... insight into
-        // execution at remote locations"): MOCHA_TRACE=1 prints protocol
-        // traffic. Kept cheap: one env lookup per message only when set.
-        if std::env::var_os("MOCHA_TRACE").is_some()
-            && (port == ports::SYNC || matches!(msg, Msg::Grant { .. } | Msg::ReplicaData { .. }))
-        {
+        if self.trace && (port == ports::SYNC || port == ports::APP) {
             eprintln!("[{:?}] {} <- {}: {:?}", now, self.site, from, msg);
         }
         match port {
@@ -472,42 +393,10 @@ impl<L: Link> SiteCore<L> {
                 }
             }
             ports::DAEMON => self.daemon.on_msg(now, from, msg, &mut self.sink),
-            ports::APP => self.on_app_msg(msg),
+            ports::APP => self
+                .client
+                .on_msg(now, from, msg, &self.daemon, &mut self.sink),
             ports::SITE_MANAGER => self.manager.on_msg(now, from, msg, &mut self.sink),
-            _ => {}
-        }
-    }
-
-    fn on_app_msg(&mut self, msg: Msg) {
-        match msg {
-            Msg::Grant {
-                lock,
-                version,
-                flag,
-            } => {
-                let Some(waiter) = self.pending_grant.remove(&lock) else {
-                    return;
-                };
-                if flag == VersionFlag::VersionOk || self.daemon.version_of(lock) >= version {
-                    self.held.insert(
-                        lock,
-                        (version.max(self.daemon.version_of(lock)), waiter.mode),
-                    );
-                    let _ = waiter.reply.send(Ok(Freshness::Current));
-                } else {
-                    self.held.insert(lock, (version, waiter.mode));
-                    let mut waiter = waiter;
-                    waiter.promised = version;
-                    self.wait_data.insert(lock, waiter);
-                    self.sink.set_timer(
-                        timer_ns::APP | u64::from(lock.as_raw()),
-                        Duration::from_secs(20),
-                    );
-                }
-            }
-            Msg::LockRevoked { lock, .. } if self.held.contains_key(&lock) => {
-                self.revoked.insert(lock);
-            }
             _ => {}
         }
     }
@@ -519,7 +408,7 @@ impl<L: Link> SiteCore<L> {
                 let _ = reply.send(());
             }
             AppRequest::SetAvailability { lock, avail, reply } => {
-                self.avail.insert(lock, avail);
+                self.client.set_availability(lock, avail);
                 let _ = reply.send(());
             }
             AppRequest::Lock {
@@ -528,69 +417,34 @@ impl<L: Link> SiteCore<L> {
                 mode,
                 reply,
             } => {
-                let thread = ThreadId(self.next_thread);
-                self.next_thread = self.next_thread.wrapping_add(1);
-                let waiter = LockWaiter {
+                // Unique per request, so the coordinator can tell requests
+                // from different application threads at this site apart.
+                let ticket = ThreadId(self.next_ticket);
+                self.next_ticket = self.next_ticket.wrapping_add(1);
+                self.lock_replies.insert(ticket, reply);
+                let now = self.now();
+                self.client.acquire(
+                    now,
+                    ticket,
+                    lock,
                     lease_ms,
                     mode,
-                    thread,
-                    promised: Version::INITIAL,
-                    reply,
-                };
-                let busy = self.held.contains_key(&lock)
-                    || self.pending_grant.contains_key(&lock)
-                    || self.wait_data.contains_key(&lock);
-                if busy {
-                    self.local_queue.entry(lock).or_default().push_back(waiter);
-                } else {
-                    self.send_acquire(lock, waiter);
-                }
+                    &self.daemon,
+                    &mut self.sink,
+                );
             }
             AppRequest::Unlock { lock, dirty, reply } => {
-                let Some((granted, mode)) = self.held.remove(&lock) else {
-                    let _ = reply.send(Err(MochaError::NotLocked { lock }));
-                    return;
-                };
-                let was_revoked = self.revoked.remove(&lock);
-                // A shared hold cannot have written.
-                let dirty = dirty && mode == LockMode::Exclusive;
-                let new_version = if dirty { granted.next() } else { granted };
-                let avail = self.avail.get(&lock).copied().unwrap_or_default();
-                let ur = if dirty && !was_revoked { avail.ur } else { 1 };
-                let disseminated = self
-                    .daemon
-                    .disseminate(lock, new_version, ur, &mut self.sink);
-                let _ = avail;
-                // The release (or its deferral) is queued BEFORE the local
-                // hand-off, so a successor's acquire can never overtake it
-                // to the coordinator.
-                if disseminated.is_empty() {
-                    self.sink.send(
-                        self.daemon.home_for(lock).unwrap_or(self.home),
-                        ports::SYNC,
-                        Msg::ReleaseLock {
-                            lock,
-                            site: self.site,
-                            new_version,
-                            disseminated_to: Vec::new(),
-                        },
-                        MsgClass::Control,
-                    );
-                    if was_revoked {
-                        let _ = reply.send(Err(MochaError::LockBroken { lock }));
-                    } else {
-                        let _ = reply.send(Ok(()));
+                let now = self.now();
+                let released =
+                    self.client
+                        .release(now, lock, dirty, None, &mut self.daemon, &mut self.sink);
+                match released {
+                    Ok(ticket) => {
+                        self.unlock_replies.insert(ticket, reply);
                     }
-                } else {
-                    // Defer the release until the pushes are acknowledged,
-                    // so the coordinator's up-to-date set is accurate.
-                    self.wait_push
-                        .insert(lock, (new_version, reply, was_revoked));
-                }
-                // Local hand-off: the next queued request now contacts the
-                // coordinator (never handed data locally — fairness rule).
-                if let Some(next) = self.local_queue.entry(lock).or_default().pop_front() {
-                    self.send_acquire(lock, next);
+                    Err(e) => {
+                        let _ = reply.send(Err(e));
+                    }
                 }
             }
             AppRequest::Read { replica, reply } => {
@@ -629,15 +483,13 @@ impl<L: Link> SiteCore<L> {
             }
             AppRequest::Promote { log, reply } => {
                 let me = self.site;
-                let mut coordinator =
-                    SyncCoordinator::replay(me, self.config_snapshot(), &log, self.now());
+                let mut coordinator = SyncCoordinator::replay(me, self.config, &log, self.now());
                 let members = coordinator.all_members();
                 coordinator.resume(&mut self.sink);
                 self.coordinator = Some(coordinator);
                 // The replayed coordinator's stats restart from zero; the
                 // mirror baseline must restart with them.
                 self.last_coord_stats = CoordinatorStats::default();
-                self.home = me;
                 for member in members {
                     if member != me {
                         self.sink.send(
@@ -693,85 +545,40 @@ impl<L: Link> SiteCore<L> {
         }
     }
 
-    /// Entry consistency check for the blocking API. Writes additionally
-    /// require an exclusive hold.
+    /// Entry consistency check for the blocking API (handles carry no
+    /// thread identity: the site's hold is what counts).
     fn guard_check(&self, replica: ReplicaId, write: bool) -> Result<(), MochaError> {
-        match self.daemon.lock_of(replica) {
-            Some(lock) if lock != UNGUARDED => match self.held.get(&lock) {
-                Some((_, LockMode::Exclusive)) => Ok(()),
-                Some((_, LockMode::Shared)) if !write => Ok(()),
-                _ => Err(MochaError::NotLocked { lock }),
-            },
-            _ => Ok(()),
-        }
+        self.client
+            .check_guard(&self.daemon, replica, write, None)
+            .map_err(|lock| MochaError::NotLocked { lock })
     }
 
-    fn send_acquire(&mut self, lock: LockId, waiter: LockWaiter) {
-        let lease_ms = waiter.lease_ms;
-        let mode = waiter.mode;
-        let thread = waiter.thread;
-        self.pending_grant.insert(lock, waiter);
-        // Per-lock routing via the daemon's directory; `None` (single-home
-        // mode) falls back to the fixed home.
-        self.sink.send_tagged(
-            self.daemon.home_for(lock).unwrap_or(self.home),
-            ports::SYNC,
-            Msg::AcquireLock {
-                lock,
-                site: self.site,
-                thread,
-                lease_hint_ms: lease_ms,
-                mode,
-            },
-            MsgClass::Control,
-            SendTag::Acquire { lock },
-        );
+    /// Answers the callers whose `lock()` or `unlock()` the lock client
+    /// reports complete.
+    fn answer_callers(&mut self) {
+        while let Some(ev) = self.client.next_event() {
+            match ev.kind {
+                ClientEventKind::Acquired(freshness) => {
+                    if let Some(reply) = self.lock_replies.remove(&ev.ticket) {
+                        let _ = reply.send(Ok(freshness));
+                    }
+                }
+                ClientEventKind::Released { revoked } => {
+                    if let Some(reply) = self.unlock_replies.remove(&ev.ticket) {
+                        let _ = reply.send(if revoked {
+                            Err(MochaError::LockBroken { lock: ev.lock })
+                        } else {
+                            Ok(())
+                        });
+                    }
+                }
+                _ => {}
+            }
+        }
     }
 
     fn handle_signal(&mut self, signal: Signal) {
         match signal {
-            Signal::DataArrived { lock, .. } => {
-                if let Some(waiter) = self.wait_data.remove(&lock) {
-                    let have = self.daemon.version_of(lock);
-                    self.held.insert(lock, (have, waiter.mode));
-                    let freshness = if have >= waiter.promised {
-                        Freshness::Current
-                    } else {
-                        Freshness::Stale
-                    };
-                    let _ = waiter.reply.send(Ok(freshness));
-                }
-            }
-            Signal::PushesComplete { lock, acked } => {
-                if let Some((new_version, reply, was_revoked)) = self.wait_push.remove(&lock) {
-                    self.sink.send(
-                        self.daemon.home_for(lock).unwrap_or(self.home),
-                        ports::SYNC,
-                        Msg::ReleaseLock {
-                            lock,
-                            site: self.site,
-                            new_version,
-                            disseminated_to: acked,
-                        },
-                        MsgClass::Control,
-                    );
-                    if was_revoked {
-                        let _ = reply.send(Err(MochaError::LockBroken { lock }));
-                    } else {
-                        let _ = reply.send(Ok(()));
-                    }
-                }
-            }
-            Signal::HomeChanged { new_home } => {
-                self.home = new_home;
-                // Re-send any outstanding acquires to the surrogate.
-                let pending: Vec<LockId> = self.pending_grant.keys().copied().collect();
-                for lock in pending {
-                    if let Some(waiter) = self.pending_grant.remove(&lock) {
-                        self.send_acquire(lock, waiter);
-                    }
-                }
-            }
             Signal::SpawnDone { req, result, ok } => {
                 if let Some(reply) = self.pending_spawns.remove(&req) {
                     let _ = if ok {
@@ -786,6 +593,11 @@ impl<L: Link> SiteCore<L> {
                         }))
                     };
                 }
+            }
+            signal => {
+                let now = self.now();
+                self.client
+                    .on_signal(now, signal, &self.daemon, &mut self.sink);
             }
         }
     }
@@ -805,11 +617,7 @@ impl<L: Link> SiteCore<L> {
             SendTag::Push { .. } => {
                 self.daemon.on_send_failed(tag, &mut self.sink);
             }
-            SendTag::Acquire { lock } => {
-                if let Some(w) = self.pending_grant.remove(lock) {
-                    let _ = w.reply.send(Err(MochaError::HomeUnreachable));
-                }
-            }
+            SendTag::Acquire { .. } => self.client.on_send_failed(now, tag, &mut self.sink),
             SendTag::Spawn { .. } => {
                 self.manager.on_send_failed(tag, &mut self.sink);
             }
@@ -822,6 +630,7 @@ impl<L: Link> SiteCore<L> {
     pub(crate) fn process_cmds(&mut self) {
         let mut local: VecDeque<(Port, Msg)> = VecDeque::new();
         loop {
+            self.answer_callers();
             let cmds = self.sink.drain();
             if cmds.is_empty() && local.is_empty() {
                 break;

@@ -21,7 +21,7 @@ use mocha_wire::io::{ByteReader, ByteWriter};
 use mocha_wire::{LockId, Msg, ReplicaId, ReplicaPayload, SiteId, ThreadId, Version};
 
 use crate::app::{AppRunner, Record, Script};
-use crate::cmd::{Cmd, CmdSink, SendTag, Signal};
+use crate::cmd::{Cmd, CmdSink, SendTag};
 use crate::config::MochaConfig;
 use crate::daemon::{DaemonStats, SiteDaemon};
 use crate::directory::Directory;
@@ -78,7 +78,7 @@ impl SiteHost {
             mux,
             daemon,
             coordinator,
-            runner: AppRunner::new(site, home),
+            runner: AppRunner::new(site),
             manager: SiteManager::new(site, registry, site == home),
             sink: CmdSink::new(),
             store: None,
@@ -292,21 +292,12 @@ impl SiteHost {
                             }
                         }
                     }
-                    Cmd::Signal(signal) => match &signal {
-                        Signal::DataArrived { .. }
-                        | Signal::PushesComplete { .. }
-                        | Signal::HomeChanged { .. } => {
-                            self.runner.on_signal(
-                                ctx.now(),
-                                &signal,
-                                &mut self.daemon,
-                                &mut self.sink,
-                            );
-                        }
-                        Signal::SpawnDone { .. } => {
-                            // Outcomes already recorded by the manager.
-                        }
-                    },
+                    // All for the lock client (spawn outcomes are already
+                    // recorded by the manager).
+                    Cmd::Signal(signal) => {
+                        self.runner
+                            .on_signal(ctx.now(), signal, &mut self.daemon, &mut self.sink);
+                    }
                     Cmd::Note(text) => {
                         ctx.note(text.clone());
                         self.notes.push(text);
@@ -914,7 +905,7 @@ impl SimCluster {
             view.sites.push(crate::invariants::SiteView {
                 site,
                 versions: host.daemon().versions(),
-                holds: host.runner().active_holds(),
+                holds: host.runner().client().active_holds(),
                 hosts_coordinator: host.coordinator().is_some(),
             });
             if let Some(c) = host.coordinator() {

@@ -56,7 +56,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
-use parking_lot::{Mutex, RwLock};
+use parking_lot::RwLock;
 
 use mocha_net::mochanet::{MochaNetEndpoint, TransportStats};
 use mocha_net::{
@@ -539,7 +539,6 @@ struct ClusterShared {
     config: MochaConfig,
     registry: Arc<TaskRegistry>,
     epoch: Instant,
-    stable_log: Arc<Mutex<Vec<(SiteId, Msg)>>>,
     counters: Arc<RuntimeCounters>,
     home: SiteId,
     book: SharedBook,
@@ -599,7 +598,6 @@ fn make_core(
             config: shared.config,
             registry: shared.registry.clone(),
             epoch: shared.epoch,
-            stable_log: shared.stable_log.clone(),
             counters: shared.counters.clone(),
             store,
         },
@@ -773,7 +771,6 @@ impl SocketRuntimeBuilder {
             config: self.config,
             registry: Arc::new(self.registry),
             epoch: Instant::now(),
-            stable_log: Arc::new(Mutex::new(Vec::new())),
             counters: Arc::new(RuntimeCounters::default()),
             home: SiteId(0),
             book: book.clone(),
@@ -886,7 +883,6 @@ impl SocketRuntimeBuilder {
             config: self.config,
             registry: Arc::new(self.registry),
             epoch: Instant::now(),
-            stable_log: Arc::new(Mutex::new(Vec::new())),
             counters: Arc::new(RuntimeCounters::default()),
             home,
             book: shared_book.clone(),
@@ -1365,13 +1361,7 @@ mod tests {
         }
         let writer = rt.handle(1);
         writer
-            .set_availability(
-                L,
-                AvailabilityConfig {
-                    ur: 3,
-                    ..AvailabilityConfig::default()
-                },
-            )
+            .set_availability(L, AvailabilityConfig { ur: 3 })
             .unwrap();
         writer.lock(L).unwrap();
         writer

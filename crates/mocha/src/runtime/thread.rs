@@ -21,7 +21,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
-use parking_lot::{Mutex, RwLock};
+use parking_lot::RwLock;
 
 use mocha_net::{MsgClass, Port};
 use mocha_store::{StoreConfig, StoreHandle};
@@ -93,9 +93,14 @@ impl Link for ThreadLink {
     }
 }
 
+/// The coordinator's state log (§4: "logging its state") as a site's
+/// event loop hands it back when it stops: what a surrogate replays.
+type StateLog = Vec<(SiteId, Msg)>;
+
 /// Site event loop: blocks on the input channel up to the next timer
-/// deadline.
-fn run_site(mut core: SiteCore<ThreadLink>, rx: Receiver<(SiteId, LoopInput)>) {
+/// deadline. Returns the state log of the coordinator it hosted (empty if
+/// none).
+fn run_site(mut core: SiteCore<ThreadLink>, rx: Receiver<(SiteId, LoopInput)>) -> StateLog {
     while !core.stop {
         core.process_cmds();
         let timeout = core
@@ -124,6 +129,9 @@ fn run_site(mut core: SiteCore<ThreadLink>, rx: Receiver<(SiteId, LoopInput)>) {
             Err(RecvTimeoutError::Disconnected) => break,
         }
     }
+    core.coordinator
+        .map(|c| c.log().to_vec())
+        .unwrap_or_default()
 }
 
 fn note_delivery(core: &SiteCore<ThreadLink>, input: &LoopInput) {
@@ -185,7 +193,6 @@ impl ThreadRuntimeBuilder {
         let counters = Arc::new(RuntimeCounters::default());
         let epoch = Instant::now();
         let home = SiteId(0);
-        let stable_log: Arc<Mutex<Vec<(SiteId, Msg)>>> = Arc::new(Mutex::new(Vec::new()));
         let stores: Vec<Option<StoreHandle>> = (0..self.sites)
             .map(|_| self.durable.map(StoreHandle::mem))
             .collect();
@@ -203,7 +210,6 @@ impl ThreadRuntimeBuilder {
                     config: self.config,
                     registry: registry.clone(),
                     epoch,
-                    stable_log: stable_log.clone(),
                     counters: counters.clone(),
                     store: stores[i].clone(),
                 },
@@ -228,7 +234,7 @@ impl ThreadRuntimeBuilder {
             config: self.config,
             registry,
             epoch,
-            stable_log,
+            dead_home_log: Vec::new(),
             counters,
             stores,
         }
@@ -239,12 +245,14 @@ impl ThreadRuntimeBuilder {
 pub struct ThreadRuntime {
     router: Arc<Router>,
     handles: Vec<MochaHandle>,
-    joins: Vec<Option<JoinHandle<()>>>,
+    joins: Vec<Option<JoinHandle<StateLog>>>,
     killed: Vec<SiteId>,
     config: MochaConfig,
     registry: Arc<TaskRegistry>,
     epoch: Instant,
-    stable_log: Arc<Mutex<Vec<(SiteId, Msg)>>>,
+    /// The state log the last killed coordinator site left behind — the
+    /// harness standing in for the home's stable storage.
+    dead_home_log: StateLog,
     counters: Arc<RuntimeCounters>,
     /// Per-site durable stores (all `None` unless the builder opted in).
     /// The backing outlives a site's incarnation — that is the point.
@@ -298,7 +306,10 @@ impl ThreadRuntime {
         self.router.remove(site);
         let _ = self.handles[i].push(LoopInput::App(AppRequest::Stop));
         if let Some(join) = self.joins[i].take() {
-            let _ = join.join();
+            match join.join() {
+                Ok(log) if !log.is_empty() => self.dead_home_log = log,
+                _ => {}
+            }
         }
         self.killed.push(site);
     }
@@ -328,7 +339,6 @@ impl ThreadRuntime {
                 config: self.config,
                 registry: self.registry.clone(),
                 epoch: self.epoch,
-                stable_log: self.stable_log.clone(),
                 counters: self.counters.clone(),
                 store: self.stores.get(i).cloned().flatten(),
             },
@@ -355,12 +365,12 @@ impl ThreadRuntime {
         self.stores.get(i).cloned().flatten()
     }
 
-    /// Promotes site `i` to surrogate coordinator, replaying the home's
-    /// stable-storage state log — the §4 synchronization-thread recovery
-    /// for the real-thread runtime. Typically called after
+    /// Promotes site `i` to surrogate coordinator, replaying the state
+    /// log the killed home left behind — the §4 synchronization-thread
+    /// recovery for the real-thread runtime. Call after
     /// [`kill_site`](Self::kill_site)(0).
     pub fn promote_coordinator(&mut self, i: usize) {
-        let log = self.stable_log.lock().clone();
+        let log = self.dead_home_log.clone();
         let (tx, rx) = unbounded();
         let _ = self.handles[i].push(LoopInput::App(AppRequest::Promote { log, reply: tx }));
         let _ = await_reply(&rx);
@@ -696,6 +706,96 @@ mod surrogate_tests {
             h1.read(idx).unwrap(),
             ReplicaPayload::Utf8("post-takeover".into())
         );
+        h1.unlock(lock, false).unwrap();
+        rt.shutdown();
+    }
+
+    #[test]
+    fn lock_issued_while_the_home_is_down_completes_after_promotion() {
+        let mut rt = ThreadRuntime::builder().sites(3).build();
+        let lock = LockId(1);
+        let idx = replica_id("s");
+        for i in 0..3 {
+            rt.handle(i)
+                .register(lock, vec![ReplicaSpec::new("s", ReplicaPayload::empty())])
+                .unwrap();
+        }
+        let h1 = rt.handle(1);
+        h1.lock(lock).unwrap();
+        h1.write(idx, ReplicaPayload::Utf8("pre-crash".into()))
+            .unwrap();
+        h1.unlock(lock, true).unwrap();
+        // Let the release reach the home's log (see above).
+        std::thread::sleep(Duration::from_millis(50));
+
+        rt.kill_site(0);
+        let pending = h1.lock_async(lock).unwrap();
+        // The site loop takes requests in order: once this one is
+        // answered, the acquire has been tried against the dead home.
+        h1.take_prints().unwrap();
+        assert!(
+            pending.poll().is_none(),
+            "the request waits; it does not fail"
+        );
+        rt.promote_coordinator(2);
+
+        pending.wait().unwrap();
+        assert_eq!(
+            h1.read(idx).unwrap(),
+            ReplicaPayload::Utf8("pre-crash".into())
+        );
+        h1.unlock(lock, false).unwrap();
+        rt.shutdown();
+    }
+}
+
+#[cfg(test)]
+mod heartbeat_tests {
+    use super::*;
+    use crate::replica::ReplicaSpec;
+    use mocha_wire::{LockId, ReplicaPayload};
+
+    #[test]
+    fn slow_owner_is_not_broken_in_real_threads() {
+        let rt = ThreadRuntime::builder()
+            .sites(3)
+            .config(MochaConfig {
+                default_lease: Duration::from_millis(200),
+                lease_scan_interval: Duration::from_millis(100),
+                heartbeat_timeout: Duration::from_millis(200),
+                ..MochaConfig::default()
+            })
+            .build();
+        let lock = LockId(1);
+        for i in 0..3 {
+            rt.handle(i)
+                .register(lock, vec![ReplicaSpec::new("h", ReplicaPayload::empty())])
+                .unwrap();
+        }
+        let h1 = rt.handle(1);
+        h1.lock(lock).unwrap();
+        let h2 = rt.handle(2);
+        let (granted_tx, granted_rx) = unbounded();
+        let waiter = std::thread::spawn(move || {
+            h2.lock(lock).unwrap();
+            granted_tx.send(()).unwrap();
+            h2.unlock(lock, false).unwrap();
+        });
+        // A critical section several leases long: the coordinator suspects
+        // the owner, and the owner's heartbeat answers keep the lock.
+        std::thread::sleep(Duration::from_millis(1500));
+        assert!(
+            granted_rx.try_recv().is_err(),
+            "site 2 was granted a lock its live owner still holds"
+        );
+        // A broken lock would surface here as LockBroken ...
+        assert_eq!(h1.unlock(lock, true), Ok(()));
+        granted_rx
+            .recv_timeout(Duration::from_secs(5))
+            .expect("site 2 is granted once site 1 releases");
+        waiter.join().unwrap();
+        // ... and a blacklisted site's acquire would never be answered.
+        h1.lock(lock).unwrap();
         h1.unlock(lock, false).unwrap();
         rt.shutdown();
     }

@@ -176,8 +176,9 @@ pub struct SyncCoordinator {
     scan_running: bool,
     stats: CoordinatorStats,
     /// State log for surrogate recovery (§4): every state-mutating message
-    /// accepted, in order. A production system would write this to stable
-    /// storage; the harness extracts it when promoting a surrogate.
+    /// accepted, in order (fixed-home mode only). A production system
+    /// would write this to stable storage; the harness extracts it when
+    /// promoting a surrogate.
     log: Vec<(SiteId, Msg)>,
     /// Consistent-hash object directory, present only when
     /// `home.hash_directory` is on. `None` preserves the legacy
@@ -589,13 +590,18 @@ impl SyncCoordinator {
                 return;
             }
         }
-        if matches!(
-            msg,
-            Msg::AcquireLock { .. }
-                | Msg::ReleaseLock { .. }
-                | Msg::RegisterReplica { .. }
-                | Msg::SiteRecovered { .. }
-        ) {
+        // Only a fixed-home coordinator logs: `replay` rebuilds a
+        // fixed-home coordinator, and a directory-mode home that dies is
+        // recovered by ring fallback and a rebuild poll instead.
+        if self.dir.is_none()
+            && matches!(
+                msg,
+                Msg::AcquireLock { .. }
+                    | Msg::ReleaseLock { .. }
+                    | Msg::RegisterReplica { .. }
+                    | Msg::SiteRecovered { .. }
+            )
+        {
             self.log.push((from, msg.clone()));
         }
         match msg {

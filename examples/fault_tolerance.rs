@@ -36,13 +36,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // --- Part 1: availability through dissemination (UR = 3). ---
     let writer = rt.handle(1);
-    writer.set_availability(
-        lock,
-        AvailabilityConfig {
-            ur: 3,
-            wait_for_acks: true,
-        },
-    )?;
+    writer.set_availability(lock, AvailabilityConfig { ur: 3 })?;
     writer.lock(lock)?;
     writer.write(doc, ReplicaPayload::Utf8("v1: the important update".into()))?;
     writer.unlock(lock, true)?; // waits until 2 other sites hold v1

@@ -50,13 +50,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 3. Raise update replication to 3: site 2's dirty release now pushes
     //    the new version to every replica before the release completes.
-    h2.set_availability(
-        lock,
-        AvailabilityConfig {
-            ur: 3,
-            ..AvailabilityConfig::default()
-        },
-    )?;
+    h2.set_availability(lock, AvailabilityConfig { ur: 3 })?;
     h2.write(doc, ReplicaPayload::Utf8("disseminated from site 2".into()))?;
     h2.unlock(lock, true)?;
     println!("site 2 released with UR=3 dissemination");

@@ -46,13 +46,9 @@ fn chaos_run(seed: u64, sites: usize) {
     // Workload: every non-home site increments-ish (writes its site id as
     // value) a few times at random moments with dissemination.
     for site in 1..sites {
-        let mut script = Script::new().register(L, &["chaos"]).set_availability(
-            L,
-            AvailabilityConfig {
-                ur: 2,
-                wait_for_acks: false,
-            },
-        );
+        let mut script = Script::new()
+            .register(L, &["chaos"])
+            .set_availability(L, AvailabilityConfig { ur: 2 });
         let mut at = 0u64;
         for _ in 0..3 {
             at += rng.gen_range(200..1500);

@@ -29,10 +29,7 @@ fn delta_config() -> MochaConfig {
 }
 
 fn avail() -> AvailabilityConfig {
-    AvailabilityConfig {
-        ur: 3,
-        wait_for_acks: true,
-    }
+    AvailabilityConfig { ur: 3 }
 }
 
 fn big() -> Vec<i32> {

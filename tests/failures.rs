@@ -204,13 +204,7 @@ fn dissemination_survives_producer_crash() {
         1,
         Script::new()
             .register(L, &["x"])
-            .set_availability(
-                L,
-                AvailabilityConfig {
-                    ur: 2,
-                    wait_for_acks: true,
-                },
-            )
+            .set_availability(L, AvailabilityConfig { ur: 2 })
             .sleep(Duration::from_millis(200))
             .lock(L)
             .write(idx, ReplicaPayload::I32s(vec![7]))
@@ -260,13 +254,7 @@ fn push_target_crash_selects_replacement() {
         1,
         Script::new()
             .register(L, &["x"])
-            .set_availability(
-                L,
-                AvailabilityConfig {
-                    ur: 2,
-                    wait_for_acks: true,
-                },
-            )
+            .set_availability(L, AvailabilityConfig { ur: 2 })
             .sleep(Duration::from_millis(600))
             .lock(L)
             .write(idx, ReplicaPayload::I32s(vec![5]))

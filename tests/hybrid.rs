@@ -26,13 +26,7 @@ fn run_workload(config: MochaConfig) -> (Option<ReplicaPayload>, Version, u64) {
             site,
             Script::new()
                 .register(L, &["doc"])
-                .set_availability(
-                    L,
-                    AvailabilityConfig {
-                        ur: 2,
-                        wait_for_acks: false,
-                    },
-                )
+                .set_availability(L, AvailabilityConfig { ur: 2 })
                 .sleep(Duration::from_millis(150 * (site as u64 + 1)))
                 .lock(L)
                 .write_bytes(idx, 8 * 1024)
@@ -234,13 +228,7 @@ fn hybrid_dissemination_with_failures_still_replaces_targets() {
         1,
         Script::new()
             .register(L, &["x"])
-            .set_availability(
-                L,
-                AvailabilityConfig {
-                    ur: 2,
-                    wait_for_acks: true,
-                },
-            )
+            .set_availability(L, AvailabilityConfig { ur: 2 })
             .sleep(Duration::from_millis(500))
             .lock(L)
             .write_bytes(idx, 4 * 1024)

@@ -98,13 +98,7 @@ fn partitioned_member_missed_pushes_are_replaced() {
         1,
         Script::new()
             .register(L, &["x"])
-            .set_availability(
-                L,
-                mocha::config::AvailabilityConfig {
-                    ur: 2,
-                    wait_for_acks: true,
-                },
-            )
+            .set_availability(L, mocha::config::AvailabilityConfig { ur: 2 })
             .sleep(Duration::from_millis(400))
             .lock(L)
             .write(idx, ReplicaPayload::I32s(vec![5]))

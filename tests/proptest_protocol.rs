@@ -41,13 +41,9 @@ fn run_schedule(
         per_site[*site].push(*delay);
     }
     for (site, delays) in per_site.iter().enumerate() {
-        let mut script = Script::new().register(L, &["ctr"]).set_availability(
-            L,
-            AvailabilityConfig {
-                ur,
-                wait_for_acks: false,
-            },
-        );
+        let mut script = Script::new()
+            .register(L, &["ctr"])
+            .set_availability(L, AvailabilityConfig { ur });
         let mut last = 0u64;
         for delay in delays {
             let gap = delay.saturating_sub(last);

@@ -137,13 +137,7 @@ fn rolling_crashes_with_dissemination_never_lose_committed_data() {
         c.add_script(
             *site,
             Script::new()
-                .set_availability(
-                    l,
-                    AvailabilityConfig {
-                        ur: 3,
-                        wait_for_acks: true,
-                    },
-                )
+                .set_availability(l, AvailabilityConfig { ur: 3 })
                 .sleep(Duration::from_millis(300 + 500 * i as u64))
                 .lock(l)
                 .write(idx, ReplicaPayload::I32s(vec![*site as i32 * 10]))

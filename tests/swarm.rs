@@ -143,13 +143,7 @@ fn migrated_home_survives_owner_departure() {
             .unwrap_or_else(|e| panic!("register site {i}: {e}"));
     }
     rt.handle(1)
-        .set_availability(
-            lock,
-            AvailabilityConfig {
-                ur: 2,
-                wait_for_acks: true,
-            },
-        )
+        .set_availability(lock, AvailabilityConfig { ur: 2 })
         .expect("set availability");
     let hot = rt.handle(1);
     for v in 1..=4u8 {

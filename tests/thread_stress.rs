@@ -81,13 +81,7 @@ fn dissemination_under_concurrency_keeps_count_exact() {
     for i in 0..4 {
         rt.handle(i).register(L, counter_specs()).unwrap();
         rt.handle(i)
-            .set_availability(
-                L,
-                AvailabilityConfig {
-                    ur: 3,
-                    wait_for_acks: true,
-                },
-            )
+            .set_availability(L, AvailabilityConfig { ur: 3 })
             .unwrap();
     }
     let idx = replica_id("ctr");
