@@ -10,3 +10,7 @@ pub fn risky(v: &[u8]) -> u8 {
     }
     *second + third
 }
+
+pub fn table(t: &[u8; 256], b: u8) -> u8 {
+    t[usize::from(b)] // lint: allow(indexing) a u8 is always < 256
+}

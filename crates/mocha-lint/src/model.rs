@@ -163,6 +163,13 @@ fn load_file(src: &str, rel: String, crate_name: String) -> SourceFile {
 /// Removes `#[cfg(test)]`- and `#[test]`-attributed items from the token
 /// stream so no analysis ever sees test code.
 fn strip_test_items(toks: Vec<Tok>) -> Vec<Tok> {
+    // A module file gated as a whole (`#![cfg(test)]` ahead of its items,
+    // the shape of a test-support file declared from `lib.rs`) is all test
+    // code.
+    let bang = toks.get(1).is_some_and(|t| t.is_punct('!'));
+    if bang && toks.first().is_some_and(|t| t.is_punct('#')) && is_cfg_test(&toks, 2) {
+        return Vec::new();
+    }
     let mut out = Vec::with_capacity(toks.len());
     let mut i = 0;
     while i < toks.len() {
@@ -185,15 +192,21 @@ fn match_test_attr(toks: &[Tok], i: usize) -> Option<usize> {
     if toks.get(i + 2)?.is_ident("test") && toks.get(i + 3)?.is_punct(']') {
         return Some(i + 4);
     }
-    if toks.get(i + 2)?.is_ident("cfg")
-        && toks.get(i + 3)?.is_punct('(')
-        && toks.get(i + 4)?.is_ident("test")
-        && toks.get(i + 5)?.is_punct(')')
-        && toks.get(i + 6)?.is_punct(']')
-    {
-        return Some(i + 7);
-    }
-    None
+    is_cfg_test(toks, i + 1).then_some(i + 7)
+}
+
+/// Whether `[cfg(test)]` starts at `open`.
+fn is_cfg_test(toks: &[Tok], open: usize) -> bool {
+    let shape: [fn(&Tok) -> bool; 6] = [
+        |t| t.is_punct('['),
+        |t| t.is_ident("cfg"),
+        |t| t.is_punct('('),
+        |t| t.is_ident("test"),
+        |t| t.is_punct(')'),
+        |t| t.is_punct(']'),
+    ];
+    let at = toks.iter().skip(open);
+    at.zip(shape).filter(|(t, is)| is(t)).count() == shape.len()
 }
 
 /// Skips one item starting at `i` (further attributes included): consumes
@@ -546,6 +559,15 @@ mod tests {
         let names: Vec<&str> = f.fns.iter().map(|d| d.name.as_str()).collect();
         assert_eq!(names, vec!["live", "also_live"]);
         assert!(!f.toks.iter().any(|t| t.is_ident("unwrap")));
+    }
+
+    #[test]
+    fn a_file_gated_as_a_whole_is_test_code() {
+        let f = file("//! Helpers.\n#![cfg(test)]\nfn helper() { x.unwrap(); v[0]; }");
+        assert!(f.toks.is_empty() && f.fns.is_empty());
+        // An inner attribute that is not the gate changes nothing.
+        let f = file("#![allow(dead_code)]\nfn live() {}");
+        assert_eq!(f.fns.len(), 1);
     }
 
     #[test]

@@ -190,6 +190,9 @@ pub struct UdpDriver {
     local_site: SiteId,
     buf: Vec<u8>,
     inject: Option<ErrorInjector>,
+    /// The read timeout the socket is currently armed with, so that a
+    /// receive it still serves does not pay a `setsockopt`.
+    armed: Option<Duration>,
 }
 
 impl UdpDriver {
@@ -203,6 +206,7 @@ impl UdpDriver {
             local_site,
             buf: vec![0u8; MAX_DATAGRAM + 8],
             inject: None,
+            armed: None,
         })
     }
 
@@ -309,8 +313,7 @@ impl UdpDriver {
             }
             // set_read_timeout(None) would block forever; clamp to >= 1ms
             // so short remainders still honor the deadline.
-            self.socket
-                .set_read_timeout(Some(remaining.max(Duration::from_millis(1))))?;
+            self.arm(remaining.max(Duration::from_millis(1)))?;
             match self.socket.recv_from(&mut self.buf) {
                 Ok((n, _peer)) => match decode_envelope(&self.buf[..n]) {
                     Some((WAKE_SENTINEL, _, _)) => return Ok(Recv::Woken),
@@ -323,14 +326,13 @@ impl UdpDriver {
                     }
                     None => {} // runt packet: ignore
                 },
+                // The armed timeout may be shorter than what remains:
+                // only the clock says whether the caller's has run out.
                 Err(e)
                     if matches!(
                         e.kind(),
                         io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                    ) =>
-                {
-                    return Ok(Recv::TimedOut);
-                }
+                    ) => {}
                 // On some platforms a previous send to a dead peer surfaces
                 // here as a connection error; it carries no data, skip it.
                 Err(e)
@@ -341,6 +343,23 @@ impl UdpDriver {
                 Err(e) => return Err(e),
             }
         }
+    }
+
+    /// Arms the socket's read timeout for a receive that wants `wanted`,
+    /// keeping the armed value while it is no longer than `wanted` (so the
+    /// deadline is never overslept) and at least a quarter of it (so the
+    /// receive wakes early at most a few times): a shard loop's successive
+    /// deadlines then share one `setsockopt` instead of paying one per
+    /// datagram.
+    fn arm(&mut self, wanted: Duration) -> io::Result<()> {
+        let serves = self
+            .armed
+            .is_some_and(|armed| armed <= wanted && wanted <= armed.saturating_mul(4));
+        if !serves {
+            self.socket.set_read_timeout(Some(wanted))?;
+            self.armed = Some(wanted);
+        }
+        Ok(())
     }
 }
 
@@ -584,6 +603,37 @@ mod tests {
         assert_eq!(w.pop_due(t0 + Duration::from_millis(29)), Vec::<u64>::new());
         assert_eq!(w.pop_due(t0 + Duration::from_millis(60)), vec![1, 2]);
         assert!(w.is_empty());
+    }
+
+    #[test]
+    fn kept_read_timeout_neither_shortens_nor_stretches_a_recv() {
+        if !sock_available() {
+            eprintln!("skipping: no loopback sockets in this environment");
+            return;
+        }
+        let mut d = UdpDriver::bind(SiteId(0), "127.0.0.1:0".parse().unwrap()).unwrap();
+        let timed_out_after = |d: &mut UdpDriver, ms: u64| {
+            let started = Instant::now();
+            assert_eq!(d.recv(Duration::from_millis(ms)).unwrap(), Recv::TimedOut);
+            started.elapsed()
+        };
+        // A receive that is answered at once leaves its 20 ms armed.
+        let mut book = AddressBook::new();
+        book.insert(SiteId(0), d.local_addr().unwrap());
+        assert!(d.send(&book, SiteId(0), &[1]).unwrap());
+        assert!(matches!(
+            d.recv(Duration::from_millis(20)).unwrap(),
+            Recv::Datagram(_)
+        ));
+        let armed = d.armed.expect("a receive arms the socket");
+        assert!(armed <= Duration::from_millis(20) && armed > Duration::from_millis(15));
+        // 60 ms is served by the armed 20 ms: the kernel's early timeouts
+        // are re-armed for the remainder, not returned.
+        assert!(timed_out_after(&mut d, 60) >= Duration::from_millis(60));
+        // A longer wait than the kept value serves is armed afresh, and a
+        // shorter one after it is not overslept.
+        assert!(timed_out_after(&mut d, 400) >= Duration::from_millis(400));
+        assert!(timed_out_after(&mut d, 5) < Duration::from_millis(200));
     }
 
     #[test]

@@ -8,6 +8,9 @@
 //! * [`Device::disk`] — a directory of real files (`wal.bin`,
 //!   `snapshot.bin`) for the socket runtime's `mochad` processes.
 //!
+//! Records are appended through a [`WalAppender`], which an open store
+//! holds for its lifetime: on disk that is one `O_APPEND` file handle, so
+//! an append is one `write` and not an open/write/close per record.
 //! Appends are *not* assumed atomic on either backing: recovery tolerates
 //! torn record tails (see [`crate::wal::scan`]). Snapshot installation is
 //! atomic on disk (write-temp + rename), so a crash mid-compaction leaves
@@ -48,7 +51,9 @@ const SNAPSHOT_TMP: &str = "snapshot.tmp";
 /// never left in a torn state by a panicking holder worse than a real
 /// crash would leave a file — and recovery is built for exactly that.
 fn relock(files: &Mutex<MemFiles>) -> MutexGuard<'_, MemFiles> {
-    files.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+    files
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 impl Device {
@@ -89,38 +94,30 @@ impl Device {
         }
     }
 
-    /// Appends `bytes` to the WAL, optionally forcing them to stable
-    /// storage before returning.
-    pub fn append_wal(&self, bytes: &[u8], fsync: bool) -> io::Result<()> {
-        match &self.backing {
-            Backing::Mem(files) => {
-                relock(files).wal.extend_from_slice(bytes);
-                Ok(())
-            }
+    /// Opens the WAL for appending, creating the directory and an empty
+    /// log on disk if there is none yet. Appends land at the end of the
+    /// file even after [`truncate_wal`](Device::truncate_wal) or
+    /// [`install_snapshot`](Device::install_snapshot) shortened it.
+    pub fn open_wal(&self) -> io::Result<WalAppender> {
+        let sink = match &self.backing {
+            Backing::Mem(files) => Sink::Mem(Arc::clone(files)),
             Backing::Disk(dir) => {
                 fs::create_dir_all(dir)?;
-                let mut f = fs::OpenOptions::new()
-                    .create(true)
-                    .append(true)
-                    .open(dir.join(WAL_FILE))?;
-                // Synchronous on purpose, even on a reactor shard: the
-                // durability contract is that a release's version is on
-                // stable storage before the release message leaves, so the
-                // append must complete inline. The record is tens of bytes;
-                // FsyncPolicy::Never exists for deployments that refuse the
-                // sync cost.
-                f.write_all(bytes)?; // lint: allow(blocking)
-                if fsync {
-                    f.sync_data()?;
-                }
-                Ok(())
+                Sink::Disk(
+                    fs::OpenOptions::new()
+                        .create(true)
+                        .append(true)
+                        .open(dir.join(WAL_FILE))?,
+                )
             }
-        }
+        };
+        Ok(WalAppender { sink })
     }
 
     /// Truncates the WAL to its first `keep` bytes — recovery's repair
-    /// step after a torn or corrupt tail.
-    pub fn truncate_wal(&self, keep: usize) -> io::Result<()> {
+    /// step after a torn or corrupt tail — optionally forcing the new
+    /// length to stable storage before returning.
+    pub fn truncate_wal(&self, keep: usize, fsync: bool) -> io::Result<()> {
         match &self.backing {
             Backing::Mem(files) => {
                 relock(files).wal.truncate(keep);
@@ -131,7 +128,9 @@ impl Device {
                 if path.exists() {
                     let f = fs::OpenOptions::new().write(true).open(path)?;
                     f.set_len(keep as u64)?;
-                    f.sync_data()?;
+                    if fsync {
+                        f.sync_data()?;
+                    }
                 }
                 Ok(())
             }
@@ -165,7 +164,44 @@ impl Device {
                 }
                 drop(f);
                 fs::rename(&tmp, dir.join(SNAPSHOT_FILE))?;
-                self.truncate_wal(0)
+                self.truncate_wal(0, fsync)
+            }
+        }
+    }
+}
+
+#[derive(Debug)]
+enum Sink {
+    Mem(Arc<Mutex<MemFiles>>),
+    Disk(fs::File),
+}
+
+/// An open append handle on one device's WAL (see [`Device::open_wal`]).
+#[derive(Debug)]
+pub struct WalAppender {
+    sink: Sink,
+}
+
+impl WalAppender {
+    /// Appends `bytes` to the WAL, optionally forcing them to stable
+    /// storage before returning.
+    pub fn append(&mut self, bytes: &[u8], fsync: bool) -> io::Result<()> {
+        match &mut self.sink {
+            Sink::Mem(files) => {
+                relock(files).wal.extend_from_slice(bytes);
+                Ok(())
+            }
+            Sink::Disk(f) => {
+                // Synchronous on purpose, even on a reactor shard: the
+                // durability contract is that a release's version is in
+                // the log before the release message leaves, so the append
+                // must complete inline. FsyncPolicy::Never exists for
+                // deployments that refuse the sync cost.
+                f.write_all(bytes)?; // lint: allow(blocking)
+                if fsync {
+                    f.sync_data()?;
+                }
+                Ok(())
             }
         }
     }
@@ -254,7 +290,7 @@ mod tests {
     fn mem_clones_share_contents() {
         let a = Device::mem();
         let b = a.clone();
-        a.append_wal(b"abc", false).unwrap();
+        a.open_wal().unwrap().append(b"abc", false).unwrap();
         assert_eq!(b.read_wal().unwrap(), b"abc");
         b.install_snapshot(b"snap", false).unwrap();
         assert_eq!(a.read_snapshot().unwrap(), b"snap");
@@ -264,7 +300,7 @@ mod tests {
     #[test]
     fn mem_short_read_limit() {
         let d = Device::mem();
-        d.append_wal(b"0123456789", false).unwrap();
+        d.open_wal().unwrap().append(b"0123456789", false).unwrap();
         d.set_wal_read_limit(Some(4));
         assert_eq!(d.read_wal().unwrap(), b"0123");
         d.set_wal_read_limit(None);
@@ -274,10 +310,10 @@ mod tests {
     #[test]
     fn mem_bit_flip_and_truncate() {
         let d = Device::mem();
-        d.append_wal(&[0x00, 0xFF], false).unwrap();
+        d.open_wal().unwrap().append(&[0x00, 0xFF], false).unwrap();
         d.flip_wal_bit(0, 3).unwrap();
         assert_eq!(d.read_wal().unwrap(), vec![0x08, 0xFF]);
-        d.truncate_wal(1).unwrap();
+        d.truncate_wal(1, false).unwrap();
         assert_eq!(d.wal_len().unwrap(), 1);
         // Out-of-range flips are ignored, not panics.
         d.flip_wal_bit(99, 0).unwrap();
@@ -290,8 +326,9 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
         let d = Device::disk(dir.clone());
         assert!(d.read_wal().unwrap().is_empty(), "missing files read empty");
-        d.append_wal(b"one", true).unwrap();
-        d.append_wal(b"two", true).unwrap();
+        let mut wal = d.open_wal().unwrap();
+        wal.append(b"one", true).unwrap();
+        wal.append(b"two", true).unwrap();
         // A fresh device over the same directory sees the same bytes —
         // the process-restart story.
         let e = Device::disk(dir.clone());
@@ -299,6 +336,9 @@ mod tests {
         e.install_snapshot(b"snap", true).unwrap();
         assert_eq!(d.read_snapshot().unwrap(), b"snap");
         assert!(d.read_wal().unwrap().is_empty());
+        // The handle opened before the compaction appends at the new end.
+        wal.append(b"three", false).unwrap();
+        assert_eq!(e.read_wal().unwrap(), b"three");
         d.flip_snapshot_bit(0, 0).unwrap();
         assert_ne!(e.read_snapshot().unwrap(), b"snap");
         let _ = fs::remove_dir_all(&dir);

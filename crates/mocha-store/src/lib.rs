@@ -7,23 +7,28 @@
 //! multicomputer object stores: an append-only write-ahead log of
 //! checksummed records plus periodic compacting snapshots.
 //!
-//! * [`wal`] — the record format (`[len][crc32][payload]`) and the
-//!   corruption-tolerant scanner.
+//! * [`wal`] — the two record formats (full and delta, both
+//!   `[len][checksum][payload]`) and the corruption-tolerant scanner.
 //! * [`device`] — the storage backing: shared in-memory files for the
 //!   simulator and thread runtime, real files for `mochad` processes.
-//! * [`SiteStore`] — the per-site store: open (recover), append, compact.
+//! * [`SiteStore`] — the per-site store: open (recover), journal, compact.
+//!
+//! A journaled version costs what it changed: when the daemon already
+//! holds the edit script that produced it, and the log's newest statement
+//! about that lock is exactly the script's base, the record is the script;
+//! in every other case it is the full replica set.
 //!
 //! Recovery is *degrading, never failing*: a torn or bit-flipped WAL tail
 //! is detected by checksum and truncated away; a corrupt snapshot is
-//! discarded while the WAL still replays (every record is an absolute
-//! statement of state the site held, so any valid prefix over any
-//! snapshot — including none — reconstructs a state the site really had,
-//! merely an older one). Announcing an older version is always safe: the
-//! site catches up over the normal transfer path, by delta when a holder
-//! still knows its base version and by full payload otherwise. The one
-//! thing recovery must never do is claim a version *newer* than what it
-//! can serve — the `version_regression` invariant in `mocha` is the
-//! oracle for that.
+//! discarded while the WAL still replays. Full records are absolute and a
+//! delta record replays only over an exact base match, so any valid prefix
+//! over any snapshot — including none — reconstructs, per lock, a state
+//! the site really had, merely an older one. Announcing an older version
+//! is always safe: the site catches up over the normal transfer path, by
+//! delta when a holder still knows its base version and by full payload
+//! otherwise. The one thing recovery must never do is claim a version
+//! *newer* than what it can serve — the `version_regression` invariant in
+//! `mocha` is the oracle for that.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -35,13 +40,14 @@ pub mod wal;
 use std::collections::BTreeMap;
 use std::io;
 use std::path::PathBuf;
+use std::sync::Arc;
 
 use mocha_wire::io::{ByteReader, ByteWriter};
 use mocha_wire::message::ReplicaUpdate;
 use mocha_wire::{LockId, ReplicaId, ReplicaPayload, Version};
 
-pub use device::Device;
-pub use wal::{scan, WalEntry, WalScan};
+pub use device::{Device, WalAppender};
+pub use wal::{scan, EditScript, WalDelta, WalEntry, WalRecord, WalScan};
 
 use crate::crc::crc32;
 
@@ -124,13 +130,15 @@ impl StoreHandle {
     }
 }
 
-/// State reconstructed from snapshot + WAL at open.
+/// State reconstructed from snapshot + WAL at open, and kept current by
+/// every append since. Payloads are shared, not copied: an append hands
+/// the image the daemon's own `Arc`s.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct RecoveredState {
     /// Newest durably recorded version per lock.
     pub lock_versions: BTreeMap<LockId, Version>,
     /// Full replica payloads per lock at that version.
-    pub replicas: BTreeMap<LockId, BTreeMap<ReplicaId, ReplicaPayload>>,
+    pub replicas: BTreeMap<LockId, BTreeMap<ReplicaId, Arc<ReplicaPayload>>>,
 }
 
 impl RecoveredState {
@@ -149,44 +157,100 @@ impl RecoveredState {
             .collect()
     }
 
-    /// Folds one WAL entry into the state. Entries older than what is
-    /// already held are skipped (replay is idempotent and monotone).
-    fn apply(&mut self, entry: &WalEntry) {
+    /// Folds one absolute statement into the state. Statements older than
+    /// what is already held are skipped (replay is idempotent and
+    /// monotone).
+    fn apply_full(&mut self, lock: LockId, version: Version, updates: &[ReplicaUpdate]) {
         if self
             .lock_versions
-            .get(&entry.lock)
-            .is_some_and(|held| *held > entry.version)
+            .get(&lock)
+            .is_some_and(|held| *held > version)
         {
             return;
         }
-        self.lock_versions.insert(entry.lock, entry.version);
-        let replicas = self.replicas.entry(entry.lock).or_default();
-        for u in &entry.updates {
-            replicas.insert(u.replica, (*u.payload).clone());
+        self.lock_versions.insert(lock, version);
+        let replicas = self.replicas.entry(lock).or_default();
+        for u in updates {
+            replicas.insert(u.replica, Arc::clone(&u.payload));
         }
+    }
+
+    /// Replays one delta record: only when the lock is held at exactly the
+    /// script's base, and all scripts or none. Returns whether it applied;
+    /// a refused delta leaves the lock at the state it actually had.
+    fn apply_delta(&mut self, delta: &WalDelta) -> bool {
+        let script = &delta.script;
+        if delta.version <= script.base || self.lock_versions.get(&delta.lock) != Some(&script.base)
+        {
+            return false;
+        }
+        let held = self.replicas.entry(delta.lock).or_default();
+        let mut next = Vec::with_capacity(script.scripts.len());
+        for s in &script.scripts {
+            match held.get(&s.replica).map(|base| s.delta.apply(base)) {
+                Some(Ok(payload)) => next.push((s.replica, Arc::new(payload))),
+                _ => return false,
+            }
+        }
+        held.extend(next);
+        self.lock_versions.insert(delta.lock, delta.version);
+        true
+    }
+
+    /// Whether `script`, journaled as a delta record producing `version`
+    /// of `lock`, would replay over this state and is the cheaper record.
+    fn takes_delta(
+        &self,
+        lock: LockId,
+        version: Version,
+        updates: &[ReplicaUpdate],
+        script: &EditScript,
+    ) -> bool {
+        script.base < version
+            && self.lock_versions.get(&lock) == Some(&script.base)
+            && self
+                .replicas
+                .get(&lock)
+                .is_some_and(|held| script.scripts.iter().all(|s| held.contains_key(&s.replica)))
+            && script
+                .scripts
+                .iter()
+                .map(|s| s.delta.cost_bytes())
+                .sum::<usize>()
+                < updates
+                    .iter()
+                    .map(|u| u.payload.data_bytes())
+                    .sum::<usize>()
     }
 
     /// Encodes the state as a snapshot image (`[magic][crc32][body]`).
     fn encode_snapshot(&self) -> Vec<u8> {
-        let mut body = ByteWriter::with_capacity(64);
-        body.put_u32(self.lock_versions.len() as u32);
+        let payload_bytes: usize = self
+            .replicas
+            .values()
+            .flat_map(BTreeMap::values)
+            .map(|p| p.data_bytes() + 16)
+            .sum();
+        let mut w = ByteWriter::with_capacity(SNAPSHOT_HEADER + 64 + payload_bytes);
+        // Magic and checksum, patched in below once the body exists.
+        w.put_raw(&[0; SNAPSHOT_HEADER]);
+        w.put_u32(self.lock_versions.len() as u32);
         for (lock, version) in &self.lock_versions {
-            lock.encode(&mut body);
-            version.encode(&mut body);
+            lock.encode(&mut w);
+            version.encode(&mut w);
             let empty = BTreeMap::new();
             let replicas = self.replicas.get(lock).unwrap_or(&empty);
-            body.put_u32(replicas.len() as u32);
+            w.put_u32(replicas.len() as u32);
             for (replica, payload) in replicas {
-                replica.encode(&mut body);
-                payload.encode(&mut body);
+                replica.encode(&mut w);
+                payload.encode(&mut w);
             }
         }
-        let body = body.into_bytes();
-        let mut w = ByteWriter::with_capacity(body.len() + 8);
-        w.put_u32(SNAPSHOT_MAGIC);
-        w.put_u32(crc32(&body));
-        w.put_raw(&body);
-        w.into_bytes()
+        let mut image = w.into_bytes();
+        if let Some((head, body)) = image.split_first_chunk_mut::<SNAPSHOT_HEADER>() {
+            *head = wal::header(SNAPSHOT_MAGIC, crc32(body));
+        }
+        image
     }
 
     /// Decodes a snapshot image; `None` for anything damaged (bad magic,
@@ -220,7 +284,7 @@ impl RecoveredState {
             for _ in 0..n {
                 let replica = ReplicaId::decode(&mut r).ok()?;
                 let payload = ReplicaPayload::decode(&mut r).ok()?;
-                replicas.insert(replica, payload);
+                replicas.insert(replica, Arc::new(payload));
             }
         }
         r.finish().ok()?;
@@ -229,6 +293,8 @@ impl RecoveredState {
 }
 
 const SNAPSHOT_MAGIC: u32 = 0x4D43_4853; // "MCHS"
+/// Bytes of snapshot framing before the body (magic + checksum).
+const SNAPSHOT_HEADER: usize = 8;
 
 /// What recovery found and did at open.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -237,24 +303,32 @@ pub struct RecoveryReport {
     pub snapshot_loaded: bool,
     /// A snapshot was present but damaged, and was discarded.
     pub snapshot_corrupt: bool,
-    /// WAL records replayed on top of the snapshot.
+    /// Valid WAL records scanned on top of the snapshot.
     pub wal_records: usize,
+    /// Delta records among them that found no exact base to apply over
+    /// (their base was lost with a damaged snapshot, or a newer snapshot
+    /// already covers them) and were skipped.
+    pub deltas_skipped: usize,
     /// Why the WAL tail was truncated, if it was.
     pub wal_corruption: Option<String>,
 }
 
 /// One site's open durability store.
 ///
-/// `open` recovers, `append` logs one applied `(lock, version, payloads)`
-/// statement, and compaction folds the log into a snapshot every
+/// `open` recovers, `append`/`journal` log one applied version of one
+/// lock, and compaction folds the log into a snapshot every
 /// [`StoreConfig::snapshot_every`] records.
 #[derive(Debug)]
 pub struct SiteStore {
     device: Device,
+    wal: WalAppender,
     config: StoreConfig,
     state: RecoveredState,
     records_since_snapshot: usize,
     report: RecoveryReport,
+    /// The framed record being appended; reused so a steady stream of
+    /// records allocates nothing.
+    frame: Vec<u8>,
 }
 
 impl SiteStore {
@@ -276,30 +350,41 @@ impl SiteStore {
             report.snapshot_loaded = true;
             state
         } else {
-            // A damaged snapshot is discarded; the WAL still replays —
-            // each record is absolute, so we merely recover an older
-            // (possibly empty) state and catch up over the network.
+            // A damaged snapshot is discarded; the WAL still replays. Full
+            // records are absolute and delta records without their base
+            // are skipped, so we merely recover an older (possibly empty)
+            // state and catch up over the network.
             report.snapshot_corrupt = true;
             RecoveredState::default()
         };
 
         let wal_bytes = device.read_wal()?;
         let scanned = scan(&wal_bytes);
-        for entry in &scanned.entries {
-            state.apply(entry);
+        for record in &scanned.records {
+            match record {
+                WalRecord::Full(e) => state.apply_full(e.lock, e.version, &e.updates),
+                WalRecord::Delta(d) => {
+                    report.deltas_skipped += usize::from(!state.apply_delta(d));
+                }
+            }
         }
-        report.wal_records = scanned.entries.len();
+        report.wal_records = scanned.records.len();
         report.wal_corruption = scanned.corruption;
         if report.wal_corruption.is_some() {
-            device.truncate_wal(scanned.valid_len)?;
+            device.truncate_wal(
+                scanned.valid_len,
+                handle.config.fsync == FsyncPolicy::Always,
+            )?;
         }
 
         Ok(SiteStore {
+            wal: device.open_wal()?,
             device,
             config: handle.config,
             state,
-            records_since_snapshot: scanned.entries.len(),
+            records_since_snapshot: scanned.records.len(),
             report,
+            frame: Vec::new(),
         })
     }
 
@@ -318,9 +403,9 @@ impl SiteStore {
         self.state.announcement()
     }
 
-    /// Logs one applied version: the full payloads of every replica of
-    /// `lock` as of `version`. Compacts when the configured record count
-    /// is reached.
+    /// Logs one applied version as a full record: the payloads of every
+    /// replica of `lock` as of `version`. Compacts when the configured
+    /// record count is reached.
     ///
     /// # Errors
     ///
@@ -331,17 +416,41 @@ impl SiteStore {
         version: Version,
         updates: &[ReplicaUpdate],
     ) -> io::Result<()> {
-        let entry = WalEntry {
-            lock,
-            version,
-            updates: updates.to_vec(),
-        };
-        let payload = entry.encode();
-        self.device
-            .append_wal(&wal::frame(&payload), self.config.fsync == FsyncPolicy::Always)?;
-        self.state.apply(&entry);
+        self.journal(lock, version, updates, None)
+    }
+
+    /// Logs one applied version of `lock`, whose replica set is now
+    /// `updates`. When the caller also holds the `script` that produced
+    /// it, the record is that script — provided the newest journaled
+    /// version of the lock is exactly the script's base, every scripted
+    /// replica is in the image, and the script is smaller than the
+    /// payloads; otherwise it is the full replica set. Compacts when the
+    /// configured record count is reached.
+    ///
+    /// # Errors
+    ///
+    /// Propagates I/O errors from the backing device.
+    pub fn journal(
+        &mut self,
+        lock: LockId,
+        version: Version,
+        updates: &[ReplicaUpdate],
+        script: Option<&EditScript>,
+    ) -> io::Result<()> {
+        match script.filter(|s| self.state.takes_delta(lock, version, updates, s)) {
+            Some(script) => wal::frame_into(&mut self.frame, true, |w| {
+                wal::encode_delta(w, lock, version, script);
+            })?,
+            None => wal::frame_into(&mut self.frame, false, |w| {
+                wal::encode_full(w, lock, version, updates);
+            })?,
+        }
+        self.wal
+            .append(&self.frame, self.config.fsync == FsyncPolicy::Always)?;
+        self.state.apply_full(lock, version, updates);
         self.records_since_snapshot += 1;
-        if self.config.snapshot_every > 0 && self.records_since_snapshot >= self.config.snapshot_every
+        if self.config.snapshot_every > 0
+            && self.records_since_snapshot >= self.config.snapshot_every
         {
             self.compact()?;
         }
@@ -393,7 +502,7 @@ mod tests {
         assert_eq!(s.recovered().lock_versions[&LockId(1)], Version(2));
         assert_eq!(s.recovered().lock_versions[&LockId(2)], Version(1));
         assert_eq!(
-            s.recovered().replicas[&LockId(1)][&ReplicaId(1)],
+            *s.recovered().replicas[&LockId(1)][&ReplicaId(1)],
             ReplicaPayload::I64s(vec![20])
         );
         assert_eq!(s.report().wal_records, 3);
@@ -438,7 +547,7 @@ mod tests {
         assert_eq!(s.report().wal_records, 1);
         assert_eq!(s.recovered().lock_versions[&LockId(1)], Version(3));
         assert_eq!(
-            s.recovered().replicas[&LockId(1)][&ReplicaId(1)],
+            *s.recovered().replicas[&LockId(1)][&ReplicaId(1)],
             ReplicaPayload::I64s(vec![3])
         );
     }
@@ -453,7 +562,7 @@ mod tests {
         drop(s);
         // Tear off half of the second record.
         let torn = keep + (handle.device().wal_len().unwrap() - keep) / 2;
-        handle.device().truncate_wal(torn).unwrap();
+        handle.device().truncate_wal(torn, false).unwrap();
 
         let s = handle.open().unwrap();
         assert_eq!(s.recovered().lock_versions[&LockId(1)], Version(1));
@@ -530,7 +639,7 @@ mod tests {
         let s = handle.open().unwrap();
         assert_eq!(s.recovered().lock_versions[&LockId(1)], Version(5));
         assert_eq!(
-            s.recovered().replicas[&LockId(1)][&ReplicaId(1)],
+            *s.recovered().replicas[&LockId(1)][&ReplicaId(1)],
             ReplicaPayload::I64s(vec![5])
         );
     }
@@ -554,4 +663,6 @@ mod tests {
 }
 
 #[cfg(test)]
-mod proptests;
+mod seeded;
+#[cfg(test)]
+mod testutil;

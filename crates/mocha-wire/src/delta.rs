@@ -67,6 +67,55 @@ fn diff_slice<T: Clone>(base: &[T], new: &[T], eq: fn(&T, &T) -> bool) -> Vec<Se
     {
         s += 1;
     }
+    edit_script(base, new, p, s)
+}
+
+/// Chunk sizes [`diff_bytes`] narrows through: whole blocks first (slice
+/// equality on a block is one vectorised `memcmp`), then 16-byte words
+/// inside the block that differs, then bytes inside the word.
+const STEPS: [usize; 2] = [1024, 16];
+
+/// Length of the longest common prefix. (Narrowed by re-slicing rather
+/// than `skip`: a reversed zip steps through what it skips.)
+fn common_prefix(mut a: &[u8], mut b: &[u8]) -> usize {
+    let mut n = 0;
+    for step in STEPS {
+        let whole = a.chunks_exact(step).zip(b.chunks_exact(step));
+        let same = whole.take_while(|(x, y)| x == y).count() * step;
+        n += same;
+        a = a.get(same..).unwrap_or_default();
+        b = b.get(same..).unwrap_or_default();
+    }
+    n + a.iter().zip(b).take_while(|(x, y)| x == y).count()
+}
+
+/// Length of the longest common suffix; the mirror of [`common_prefix`].
+fn common_suffix(mut a: &[u8], mut b: &[u8]) -> usize {
+    let mut n = 0;
+    for step in STEPS {
+        let whole = a.rchunks_exact(step).zip(b.rchunks_exact(step));
+        let same = whole.take_while(|(x, y)| x == y).count() * step;
+        n += same;
+        a = a.get(..a.len() - same).unwrap_or_default();
+        b = b.get(..b.len() - same).unwrap_or_default();
+    }
+    let bytewise = a.iter().rev().zip(b.iter().rev());
+    n + bytewise.take_while(|(x, y)| x == y).count()
+}
+
+/// [`diff_slice`] for bytes, which is where the large payloads are: the
+/// same script from the same prefix and suffix lengths, found word-wise.
+fn diff_bytes(base: &[u8], new: &[u8]) -> Vec<Seg<u8>> {
+    let p = common_prefix(base, new);
+    // The suffix may not reach back into the prefix.
+    let base_rest = base.get(p..).unwrap_or_default();
+    let new_rest = new.get(p..).unwrap_or_default();
+    edit_script(base, new, p, common_suffix(base_rest, new_rest))
+}
+
+/// The script that keeps `base`'s first `p` and last `s` elements and
+/// replaces what lies between with `new`'s.
+fn edit_script<T: Clone>(base: &[T], new: &[T], p: usize, s: usize) -> Vec<Seg<T>> {
     let mut segs = Vec::new();
     if p > 0 {
         segs.push(Seg::Copy {
@@ -188,7 +237,7 @@ impl PayloadDelta {
     pub fn diff(base: &ReplicaPayload, new: &ReplicaPayload) -> Option<PayloadDelta> {
         match (base, new) {
             (ReplicaPayload::Bytes(b), ReplicaPayload::Bytes(n)) => {
-                Some(PayloadDelta::Bytes(diff_slice(b, n, u8::eq)))
+                Some(PayloadDelta::Bytes(diff_bytes(b, n)))
             }
             (ReplicaPayload::I32s(b), ReplicaPayload::I32s(n)) => {
                 Some(PayloadDelta::I32s(diff_slice(b, n, i32::eq)))
@@ -201,9 +250,9 @@ impl PayloadDelta {
                     a.to_bits() == b.to_bits()
                 })))
             }
-            (ReplicaPayload::Utf8(b), ReplicaPayload::Utf8(n)) => Some(PayloadDelta::Utf8(
-                diff_slice(b.as_bytes(), n.as_bytes(), u8::eq),
-            )),
+            (ReplicaPayload::Utf8(b), ReplicaPayload::Utf8(n)) => {
+                Some(PayloadDelta::Utf8(diff_bytes(b.as_bytes(), n.as_bytes())))
+            }
             _ => None,
         }
     }
@@ -327,6 +376,54 @@ mod tests {
         // Compare wire encodings, not PartialEq: NaN f64 elements must
         // round-trip bit-exactly even though NaN != NaN.
         assert_eq!(wire_bytes(&d.apply(base).unwrap()), wire_bytes(new));
+    }
+
+    #[test]
+    fn wordwise_byte_diff_is_the_elementwise_script() {
+        // xorshift64; the elementwise walk is the oracle.
+        let mut state = 0x6469_6666_u64;
+        let mut next = move |n: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % n as u64) as usize
+        };
+        for case in 0..1000 {
+            // Few distinct values, so prefixes and suffixes also end by
+            // chance in the middle of a step.
+            // Every tenth case is long enough to cross whole blocks.
+            let len = if case % 10 == 9 { next(5000) } else { next(80) };
+            let base: Vec<u8> = (0..len).map(|_| next(3) as u8).collect();
+            let mut new = base.clone();
+            match case % 5 {
+                0 => {}
+                1 => new.clear(),
+                // Overwritten, grown and shrunk at a random place.
+                shape => {
+                    let at = next(new.len() + 1);
+                    let len = next((new.len() - at).min(40) + 1);
+                    let fresh = (0..next(40)).map(|_| next(3) as u8);
+                    match shape {
+                        2 => new
+                            .iter_mut()
+                            .skip(at)
+                            .take(len)
+                            .for_each(|b| *b = next(3) as u8),
+                        3 => drop(new.splice(at..at, fresh)),
+                        _ => drop(new.drain(at..at + len)),
+                    }
+                }
+            }
+            let want = diff_slice(&base, &new, u8::eq);
+            assert_eq!(
+                diff_bytes(&base, &new),
+                want,
+                "case {case}: {base:?} -> {new:?}"
+            );
+            assert_eq!(diff_bytes(&new, &base), diff_slice(&new, &base, u8::eq));
+            assert_eq!(apply_slice(&base, &want).unwrap(), new);
+        }
+        assert_eq!(diff_bytes(&[], &[]), diff_slice(&[], &[], u8::eq));
     }
 
     #[test]

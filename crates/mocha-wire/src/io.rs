@@ -104,6 +104,12 @@ impl ByteWriter {
         }
     }
 
+    /// Creates a writer that appends to `buf`, keeping its contents and
+    /// capacity — for callers that encode into a buffer they reuse.
+    pub fn appending_to(buf: Vec<u8>) -> ByteWriter {
+        ByteWriter { buf }
+    }
+
     /// Appends a single byte.
     pub fn put_u8(&mut self, v: u8) {
         self.buf.push(v);

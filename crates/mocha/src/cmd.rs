@@ -12,6 +12,7 @@ use std::time::Duration;
 
 use mocha_net::{MsgClass, Port};
 use mocha_sim::Work;
+use mocha_store::EditScript;
 use mocha_wire::message::ReplicaUpdate;
 use mocha_wire::{LockId, Msg, RequestId, SiteId, Version};
 
@@ -152,9 +153,9 @@ pub enum Cmd {
         /// Namespaced token.
         token: u64,
     },
-    /// Append an applied `(lock, version, full payloads)` statement to the
-    /// site's durable store, if one is attached. Drivers without a store
-    /// (the default) drop this command — durability is strictly opt-in.
+    /// Journal an applied `(lock, version)` statement in the site's
+    /// durable store, if one is attached. Drivers without a store (the
+    /// default) drop this command — durability is strictly opt-in.
     Persist {
         /// The lock whose replica set reached `version` locally.
         lock: LockId,
@@ -162,6 +163,11 @@ pub enum Cmd {
         version: Version,
         /// Full payloads of every replica guarded by the lock.
         updates: Vec<ReplicaUpdate>,
+        /// The edit script that produced `version`, when the daemon holds
+        /// one (it cut the release's delta, or accepted a delta push). The
+        /// store journals it in place of the payloads when its log holds
+        /// the script's base.
+        script: Option<EditScript>,
     },
     /// Notify another component on the same site.
     Signal(Signal),
@@ -230,11 +236,18 @@ impl CmdSink {
     }
 
     /// Queues a durable-store append.
-    pub fn persist(&mut self, lock: LockId, version: Version, updates: Vec<ReplicaUpdate>) {
+    pub fn persist(
+        &mut self,
+        lock: LockId,
+        version: Version,
+        updates: Vec<ReplicaUpdate>,
+        script: Option<EditScript>,
+    ) {
         self.cmds.push(Cmd::Persist {
             lock,
             version,
             updates,
+            script,
         });
     }
 

@@ -17,7 +17,7 @@ use std::sync::Arc;
 
 use mocha_net::{ports, MsgClass};
 use mocha_sim::{SimTime, Work};
-use mocha_store::RecoveredState;
+use mocha_store::{EditScript, RecoveredState};
 use mocha_wire::codec::CodecKind;
 use mocha_wire::delta::PayloadDelta;
 use mocha_wire::message::{ReplicaDeltaUpdate, ReplicaUpdate};
@@ -154,12 +154,18 @@ pub struct SiteDaemon {
     /// basis for choosing delta over full transfer.
     acked_versions: HashMap<LockId, BTreeMap<SiteId, Version>>,
     /// Whether this site has a durable store attached. When set, every
-    /// applied or released version emits a [`Cmd::Persist`] for the driver
-    /// to append to the write-ahead log. Off by default: non-durable sites
-    /// emit nothing and behave byte-identically to before.
+    /// applied or released version that is new to the journal emits a
+    /// [`Cmd::Persist`] for the driver to append to the write-ahead log.
+    /// Off by default: non-durable sites emit nothing and behave
+    /// byte-identically to before.
     ///
     /// [`Cmd::Persist`]: crate::cmd::Cmd::Persist
     durable: bool,
+    /// Newest version journaled per lock (seeded from the recovered store
+    /// at restart). A version identifies its bytes, so a release or an
+    /// apply that does not advance past it — every clean release — has
+    /// nothing to add to the log.
+    journaled: HashMap<LockId, Version>,
     /// Consistent-hash object directory, when the cluster runs with
     /// [`HomeConfig::hash_directory`](crate::config::HomeConfig): decides
     /// which coordinator this site's lock traffic is addressed to, and
@@ -193,6 +199,7 @@ impl SiteDaemon {
             deltas: HashMap::new(),
             acked_versions: HashMap::new(),
             durable: false,
+            journaled: HashMap::new(),
             directory: None,
         }
     }
@@ -327,6 +334,7 @@ impl SiteDaemon {
     pub fn restore(&mut self, recovered: &RecoveredState, sink: &mut CmdSink) {
         self.durable = true;
         for (lock, version) in &recovered.lock_versions {
+            self.journaled.insert(*lock, *version);
             let mut version = *version;
             // Mutant-harness hook: replaying a stale WAL (one release
             // behind what the site actually held) must trip the oracle's
@@ -339,7 +347,7 @@ impl SiteDaemon {
         for (lock, replicas) in &recovered.replicas {
             self.lock_members.entry(*lock).or_default().insert(self.me);
             for (id, payload) in replicas {
-                self.store.insert(*id, Arc::new(payload.clone()));
+                self.store.insert(*id, Arc::clone(payload));
                 self.lock_replicas.entry(*lock).or_default().insert(*id);
             }
         }
@@ -370,10 +378,18 @@ impl SiteDaemon {
 
     /// Emits a [`Cmd::Persist`](crate::cmd::Cmd::Persist) recording the
     /// current `(lock, version, full payloads)` statement, if a durable
-    /// store is attached.
-    fn persist_state(&self, lock: LockId, sink: &mut CmdSink) {
-        if self.durable {
-            sink.persist(lock, self.version_of(lock), self.snapshot_for(lock));
+    /// store is attached and the version is new to its journal. `script`
+    /// is the edit script that produced the version, when this daemon
+    /// holds it.
+    fn persist_state(&mut self, lock: LockId, script: Option<EditScript>, sink: &mut CmdSink) {
+        if !self.durable {
+            return;
+        }
+        let version = self.version_of(lock);
+        let journaled = self.journaled.entry(lock).or_insert(Version::INITIAL);
+        if version > *journaled {
+            *journaled = version;
+            sink.persist(lock, version, self.snapshot_for(lock), script);
         }
     }
 
@@ -687,17 +703,17 @@ impl SiteDaemon {
         sink: &mut CmdSink,
     ) -> Vec<SiteId> {
         self.lock_version.insert(lock, new_version);
-        self.persist_state(lock, sink);
-        if ur <= 1 {
-            return Vec::new();
-        }
-        let candidates: Vec<SiteId> = self
+        let targets: Vec<SiteId> = self
             .lock_members
             .get(&lock)
-            .map(|m| m.iter().copied().filter(|s| *s != self.me).collect())
+            .filter(|_| ur > 1)
+            .map(|m| {
+                let others = m.iter().copied().filter(|s| *s != self.me);
+                others.take(ur - 1).collect()
+            })
             .unwrap_or_default();
-        let targets: Vec<SiteId> = candidates.iter().copied().take(ur - 1).collect();
         if targets.is_empty() {
+            self.persist_state(lock, None, sink);
             return Vec::new();
         }
         // Snapshot the release's values once; every target receives this
@@ -713,6 +729,17 @@ impl SiteDaemon {
         if self.push_cfg.delta {
             self.refresh_delta(lock, new_version, &updates);
         }
+        // Journaled before the first push leaves, as the release's own
+        // edit script when one was just cut.
+        let script = self
+            .deltas
+            .get(&lock)
+            .filter(|d| self.durable && d.version == new_version)
+            .map(|d| EditScript {
+                base: d.base,
+                scripts: d.scripts.clone(),
+            });
+        self.persist_state(lock, script, sink);
         let req = self.next_req;
         self.next_req = self.next_req.next();
         let mut task = PushTask {
@@ -1012,7 +1039,7 @@ impl SiteDaemon {
                 }
                 self.charge_unmarshal(&updates, sink);
                 if self.apply(lock, version, updates) {
-                    self.persist_state(lock, sink);
+                    self.persist_state(lock, None, sink);
                 }
                 // Even stale data unblocks a waiter: it is the freshest
                 // available (weakened consistency path).
@@ -1031,7 +1058,7 @@ impl SiteDaemon {
                 self.charge_unmarshal(&updates, sink);
                 let applied = self.apply(lock, version, updates);
                 if applied {
-                    self.persist_state(lock, sink);
+                    self.persist_state(lock, None, sink);
                 }
                 sink.send(
                     from,
@@ -1058,7 +1085,11 @@ impl SiteDaemon {
                 let local = self.version_of(lock);
                 if local == base_version && self.try_apply_delta(lock, version, &deltas) {
                     self.charge_delta_unmarshal(&deltas, sink);
-                    self.persist_state(lock, sink);
+                    let script = EditScript {
+                        base: base_version,
+                        scripts: deltas,
+                    };
+                    self.persist_state(lock, Some(script), sink);
                     sink.send(
                         from,
                         ports::DAEMON,
@@ -1118,7 +1149,11 @@ impl SiteDaemon {
                 let local = self.version_of(lock);
                 if local == base_version && self.try_apply_delta(lock, version, &deltas) {
                     self.charge_delta_unmarshal(&deltas, sink);
-                    self.persist_state(lock, sink);
+                    let script = EditScript {
+                        base: base_version,
+                        scripts: deltas,
+                    };
+                    self.persist_state(lock, Some(script), sink);
                     sink.signal(Signal::DataArrived { lock, version });
                 } else {
                     // No DataArrived: the full data is on its way back.

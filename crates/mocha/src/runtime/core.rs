@@ -662,9 +662,11 @@ impl<L: Link> SiteCore<L> {
                         lock,
                         version,
                         updates,
+                        script,
                     } => {
                         if let Some(store) = self.store.as_mut() {
-                            if let Err(e) = store.append(lock, version, &updates) {
+                            if let Err(e) = store.journal(lock, version, &updates, script.as_ref())
+                            {
                                 // Durability degrades, the protocol does
                                 // not: the site keeps running and recovers
                                 // whatever did reach the log.

@@ -285,9 +285,11 @@ impl SiteHost {
                         lock,
                         version,
                         updates,
+                        script,
                     } => {
                         if let Some(store) = self.store.as_mut() {
-                            if let Err(e) = store.append(lock, version, &updates) {
+                            if let Err(e) = store.journal(lock, version, &updates, script.as_ref())
+                            {
                                 self.notes.push(format!("WAL append failed: {e}"));
                             }
                         }

@@ -10,7 +10,7 @@
 use std::time::Duration;
 
 use mocha::app::Script;
-use mocha::config::MochaConfig;
+use mocha::config::{AvailabilityConfig, MochaConfig, PushConfig};
 use mocha::replica::replica_id;
 use mocha::runtime::sim::SimCluster;
 use mocha_store::StoreConfig;
@@ -422,6 +422,131 @@ fn durable_reboot_with_corrupt_snapshot_falls_back_to_wal() {
     c.run_for(Duration::from_secs(30));
     assert!(c.all_done(2), "{:?}", c.failures(2));
     assert_eq!(c.observed_payloads(2), vec![ReplicaPayload::I32s(vec![4])]);
+}
+
+/// The `delta_durable` shape: a 64 KiB object, pushed to three peers as
+/// edit scripts, every site journaling with no automatic compaction so
+/// the WAL length counts what each release wrote.
+fn delta_durable_cluster() -> SimCluster {
+    SimCluster::builder()
+        .sites(5)
+        .config(MochaConfig {
+            push: PushConfig {
+                delta: true,
+                pipeline: true,
+            },
+            ..failure_config()
+        })
+        .durable(StoreConfig {
+            snapshot_every: 0,
+            ..StoreConfig::default()
+        })
+        .build()
+}
+
+/// 64 KiB whose 64 bytes from offset 16 are `fill`.
+fn edited_64k(fill: u8) -> ReplicaPayload {
+    let mut bytes: Vec<u8> = (0..64 * 1024u32).map(|i| (i % 251) as u8).collect();
+    bytes[16..80].fill(fill);
+    ReplicaPayload::Bytes(bytes)
+}
+
+#[test]
+fn dirty_release_journals_its_edit_and_a_clean_release_nothing() {
+    let mut c = delta_durable_cluster();
+    let idx = replica_id("doc");
+    for site in 2..5 {
+        c.add_script(site, Script::new().register(L, &["doc"]));
+    }
+    let wal_len = |c: &SimCluster, site: usize| {
+        let handle = c.store_handle(site).expect("durable cluster has a store");
+        handle.device().wal_len().unwrap()
+    };
+    c.add_script(
+        1,
+        Script::new()
+            .register(L, &["doc"])
+            .set_availability(L, AvailabilityConfig { ur: 4 })
+            .lock(L)
+            .write(idx, edited_64k(1))
+            .unlock_dirty(L),
+    );
+    c.run_for(Duration::from_secs(5));
+    assert!(c.all_done(1), "{:?}", c.failures(1));
+    let after_full: Vec<usize> = (1..5).map(|site| wal_len(&c, site)).collect();
+    assert!(
+        after_full.iter().all(|len| *len > 64 * 1024),
+        "the first version is journaled whole at the writer and its three targets: {after_full:?}"
+    );
+
+    // A 64-byte edit: the writer journals the script it cut for the push,
+    // each target the script it accepted.
+    c.add_script(
+        1,
+        Script::new()
+            .lock(L)
+            .write(idx, edited_64k(2))
+            .unlock_dirty(L),
+    );
+    c.run_for(Duration::from_secs(5));
+    assert!(c.all_done(1), "{:?}", c.failures(1));
+    assert_eq!(c.daemon_stats(1).delta_nacks, 0);
+    let after_edit: Vec<usize> = (1..5).map(|site| wal_len(&c, site)).collect();
+    for (site, (before, after)) in after_full.iter().zip(&after_edit).enumerate() {
+        let grew = after - before;
+        // Today 128: 8 framing + 28 lock/base/version/counts + 92 script
+        // (two copies around the 64 fresh bytes).
+        assert!(
+            (64..=256).contains(&grew),
+            "site {}: a 64 B edit of a 64 KiB object journaled {grew} B",
+            site + 1
+        );
+    }
+
+    // Sixteen clean releases: the version does not advance, nothing is
+    // journaled anywhere.
+    c.add_script(
+        1,
+        Script::new().repeat(16, Script::new().lock(L).read(idx).unlock(L)),
+    );
+    c.run_for(Duration::from_secs(10));
+    assert!(c.all_done(1), "{:?}", c.failures(1));
+    let after_clean: Vec<usize> = (1..5).map(|site| wal_len(&c, site)).collect();
+    assert_eq!(after_clean, after_edit);
+}
+
+#[test]
+fn durable_reboot_replays_a_delta_tail_byte_exact() {
+    // Site 2 only ever receives pushes: one full record, then three delta
+    // records. Its state is read straight after the restart, before any
+    // message is delivered, so it can only have come off its WAL.
+    let mut c = delta_durable_cluster();
+    let idx = replica_id("doc");
+    for site in 2..5 {
+        c.add_script(site, Script::new().register(L, &["doc"]));
+    }
+    let mut writer = Script::new()
+        .register(L, &["doc"])
+        .set_availability(L, AvailabilityConfig { ur: 4 });
+    for fill in 1..=4 {
+        writer = writer.lock(L).write(idx, edited_64k(fill)).unlock_dirty(L);
+    }
+    c.add_script(1, writer);
+    c.run_for(Duration::from_secs(10));
+    assert!(c.all_done(1), "{:?}", c.failures(1));
+    let handle = c.store_handle(2).expect("durable cluster has a store");
+    let wal = handle.device().wal_len().unwrap();
+    assert!(
+        wal > 64 * 1024 && wal < 64 * 1024 + 1024,
+        "one full record and three small ones, got {wal} B"
+    );
+
+    c.crash_site(2);
+    c.run_for(Duration::from_millis(500));
+    c.restart_site(2);
+    assert_eq!(c.daemon_version(2, L), mocha_wire::Version(4));
+    assert_eq!(c.replica_value(2, idx), Some(edited_64k(4)));
+    assert!(c.notes(2).is_empty(), "{:?}", c.notes(2));
 }
 
 #[test]
